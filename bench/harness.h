@@ -1,7 +1,7 @@
 // Copyright (c) 2026 The PACMAN reproduction authors.
 // Shared benchmark harness: workload setup, transaction driving and table
 // printing. Every bench binary regenerates one table or figure of the
-// paper; EXPERIMENTS.md records paper-vs-measured for each.
+// paper; the README's "Paper figures -> bench binaries" table maps them.
 #ifndef PACMAN_BENCH_HARNESS_H_
 #define PACMAN_BENCH_HARNESS_H_
 
@@ -54,9 +54,9 @@ inline DatabaseOptions DefaultDbOptions(logging::LogScheme scheme) {
   return opts;
 }
 
-// Bench-scale TPC-C (see DESIGN.md §2 on scaling): the paper used 200
-// warehouses / 20 GB; we run a reduced load and rely on the calibrated
-// cost model for virtual-time magnitudes.
+// Bench-scale TPC-C: the paper used 200 warehouses / 20 GB; we run a
+// reduced load and rely on the calibrated cost model
+// (recovery/cost_model.h) for virtual-time magnitudes.
 inline workload::TpccConfig BenchTpccConfig() {
   workload::TpccConfig c;
   c.num_warehouses = 4;

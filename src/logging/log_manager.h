@@ -1,5 +1,5 @@
 // Copyright (c) 2026 The PACMAN reproduction authors.
-// Logger threads and group commit (paper §3, Appendix A).
+// Loggers and group commit (paper §3, Appendix A).
 //
 // Committed transactions are routed to one of N loggers; each logger packs
 // the records of an epoch together and flushes them with one write+fsync
@@ -7,8 +7,8 @@
 // `epochs_per_batch` epochs. The pepoch watermark advances once every
 // logger has persisted an epoch.
 //
-// The host has one core, so loggers are passive objects driven at epoch
-// boundaries by the database runtime; the virtual-time cost of each flush
+// Loggers are passive objects driven at epoch boundaries by the database
+// runtime (no thread per logger); the virtual-time cost of each flush
 // (bytes/bandwidth + fsync latency) is returned to the caller, which feeds
 // the logging-performance simulations (Figs. 11-12, Tables 1-3). The bytes
 // are real serialized bytes.

@@ -43,26 +43,21 @@ Status RunRange(VmState* st, AccessContext* access, uint32_t pc,
   const CompiledProgram& prog = *st->prog;
   const Instr* code = prog.code.data();
   Value* regs = st->regs;
-  const uint8_t* present = st->present;
-  const Row* locals = st->locals;
+  const Row** locals = st->locals;
   while (pc < end) {
     const Instr& ins = code[pc];
     switch (ins.op) {
       case BcOp::kLoadField: {
-        if (!present[ins.a]) {
-          regs[ins.dst] = kNullValue;
-          break;
-        }
-        const Row& row = locals[ins.a];
-        if (ins.b < row.size()) {
-          regs[ins.dst] = row[ins.b];
+        const Row* row = locals[ins.a];
+        if (row != nullptr && ins.b < row->size()) {
+          regs[ins.dst] = (*row)[ins.b];
         } else {
           regs[ins.dst] = kNullValue;
         }
         break;
       }
       case BcOp::kLoadExists:
-        regs[ins.dst] = BoolValue(present[ins.a] != 0);
+        regs[ins.dst] = BoolValue(locals[ins.a] != nullptr);
         break;
       case BcOp::kAdd:
         regs[ins.dst] =
@@ -143,22 +138,19 @@ Status RunRange(VmState* st, AccessContext* access, uint32_t pc,
       case BcOp::kReadRow: {
         PACMAN_DCHECK(access != nullptr);
         const Key key = OperandKey(*st, ins.b);
-        Status s = access->ReadTable(prog.tables[ins.a],
-                                     prog.table_ids[ins.a], key,
-                                     &st->locals[ins.dst]);
-        if (s.ok()) {
-          st->present[ins.dst] = 1;
-        } else if (s.code() == StatusCode::kNotFound) {
-          st->present[ins.dst] = 0;
-        } else {
-          return s;
-        }
+        Row* buf = st->rows != nullptr ? &st->rows[ins.dst] : nullptr;
+        const Row* view = nullptr;
+        Status s = access->ReadView(prog.tables[ins.a],
+                                    prog.table_ids[ins.a], key, buf, &view);
+        if (!s.ok() && s.code() != StatusCode::kNotFound) return s;
+        locals[ins.dst] = s.ok() ? view : nullptr;
         break;
       }
       case BcOp::kBeginRow:
-        st->scratch->clear();
-        if (ins.a != kNoBaseLocal && present[ins.a]) {
-          *st->scratch = locals[ins.a];
+        if (ins.a != kNoBaseLocal && locals[ins.a] != nullptr) {
+          *st->scratch = *locals[ins.a];
+        } else {
+          st->scratch->clear();
         }
         break;
       case BcOp::kSetCol: {
@@ -194,7 +186,7 @@ Status RunRange(VmState* st, AccessContext* access, uint32_t pc,
 inline bool AllPresent(const VmState& st,
                        const std::vector<uint16_t>& locals) {
   for (uint16_t l : locals) {
-    if (!st.present[l]) return false;
+    if (st.locals[l] == nullptr) return false;
   }
   return true;
 }

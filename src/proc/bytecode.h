@@ -9,9 +9,17 @@
 // here: a contiguous instruction vector over dense register slots, with
 // constants pooled in the program and parameters referenced in place, so
 // steady-state execution touches no allocator at all (registers, local
-// rows and the row-build scratch come from a per-worker ExecArena,
-// proc/exec_arena.h, and keep their string/row capacity across
+// views, copy targets and the row-build scratch come from a per-worker
+// ExecArena, proc/exec_arena.h, and keep their string/row capacity across
 // transactions).
+//
+// Locals are views: kReadRow stores a `const Row*` to the row the access
+// context returned, and kLoadField / kBeginRow read through it. Replay
+// (ReplayAccess) lends the newest published version's row, which is
+// immutable and outlives the replay (storage/tuple.h), so recovery reads
+// copy nothing; forward processing (TxnAccess) copies into the local's
+// arena row because it must see its own buffered writes. A null view is
+// an absent local (the read missed or has not run).
 //
 // Operands are 16-bit and carry their own address space in the top two
 // bits: a register, a constant-pool slot or a parameter index. Constant
@@ -21,9 +29,9 @@
 // Register discipline: every operation's instruction range is
 // self-contained — it writes each scratch register before reading it and
 // no register value flows between operations (cross-operation data flows
-// through the local rows, exactly like the interpreter's ProcState). This
+// through the locals, exactly like the interpreter's ProcState). This
 // is what lets CLR-P execute different pieces of one transaction on
-// different threads with nothing shared but the locals/present arrays, and
+// different threads with nothing shared but the local views, and
 // lets the compiler reuse the same low register numbers in every op (the
 // register file stays a few cache lines).
 //
@@ -63,8 +71,8 @@ inline constexpr Operand kOperandIndexMask = 0x3FFF;
 enum class BcOp : uint8_t {
   // Pure value instructions (no data access; these are the only opcodes
   // allowed inside guard / key / result sub-ranges).
-  kLoadField,   // dst = locals[a][b], Null when absent / column overflow.
-  kLoadExists,  // dst = present[a] as int64 0/1.
+  kLoadField,   // dst = (*locals[a])[b], Null when absent / col overflow.
+  kLoadExists,  // dst = (locals[a] != null) as int64 0/1.
   kAdd,         // dst = in(a) + in(b)   (numeric promotion as Value::Add).
   kSub,
   kMul,
@@ -82,8 +90,8 @@ enum class BcOp : uint8_t {
   // Control flow.
   kJumpIfFalse,  // if !truthy(in(a)) pc = dst  (skips the rest of the op).
   // Data access (through AccessContext, table pointer pre-resolved).
-  kReadRow,    // locals[dst] = read(tables[a], key=in(b)); present updated.
-  kBeginRow,   // scratch = (a != kNoBaseLocal && present[a]) ? locals[a] : {}.
+  kReadRow,    // locals[dst] = view of read(tables[a], key=in(b)) or null.
+  kBeginRow,   // scratch = (a != kNoBaseLocal && locals[a]) ? *locals[a] : {}.
   kSetCol,     // scratch[a] = in(b), resizing to a+1 when short.
   kAppendCol,  // scratch.push_back(in(a)).
   kWriteRow,   // write(tables[a], key=in(b), move(scratch), insert = c).
@@ -185,23 +193,28 @@ struct CompiledProgram {
   StaticAccessSummary summary;
 };
 
-// Execution state of one program run. Owns nothing: registers and scratch
-// come from the executing thread's ExecArena; locals/present either from
-// the same arena (forward processing, CLR) or from a per-transaction
-// VmTxnLocals shared by the transaction's pieces across threads (CLR-P) —
-// the same sharing discipline as the interpreter's ProcState.
+// Execution state of one program run. Owns nothing: registers, copy
+// targets and scratch come from the executing thread's ExecArena; the
+// local views either from the same arena (forward processing, CLR) or
+// from a per-transaction VmTxnLocals shared by the transaction's pieces
+// across threads (CLR-P) — the same sharing discipline as the
+// interpreter's ProcState.
 struct VmState {
   const CompiledProgram* prog = nullptr;
   const std::vector<Value>* params = nullptr;  // Borrowed; never null.
   Value* regs = nullptr;
-  Row* locals = nullptr;
-  uint8_t* present = nullptr;
+  // Per local: the row its read returned (a lent version row or rows[l]),
+  // null while absent.
+  const Row** locals = nullptr;
+  // Per local: copy target for contexts that cannot lend rows. Null under
+  // shared locals, which only a lending context may serve.
+  Row* rows = nullptr;
   Row* scratch = nullptr;  // Row-build staging (kBeginRow/kWriteRow).
 };
 
 // Executes the given operations (ascending op indices). Mirrors
-// ExecuteOps: guards skip, read misses clear `present`, non-OK only on
-// internal errors.
+// ExecuteOps: guards skip, read misses leave the local absent, non-OK only
+// on internal errors.
 Status VmExecuteOps(const std::vector<OpIndex>& op_indices, VmState* state,
                     AccessContext* access);
 

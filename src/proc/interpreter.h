@@ -16,6 +16,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/macros.h"
 #include "common/status.h"
 #include "common/types.h"
 #include "proc/procedure.h"
@@ -37,9 +38,19 @@ class AccessContext {
   // at FinalizeSchema() time. Contexts that can use the pointer directly
   // override these; the defaults fall back to the TableId virtuals so any
   // context keeps working unmodified.
-  virtual Status ReadTable(storage::Table* /*t*/, TableId table, Key key,
-                           Row* out) {
-    return Read(table, key, out);
+  //
+  // ReadView is the VM's only read: on OK it points *view at the row read,
+  // which must stay valid and unchanged for the rest of the transaction's
+  // execution. A context that can lend such a row (ReplayAccess: a
+  // published version) points at it without copying; the default copies
+  // into the caller's `buf` through Read(). `buf` is null for CLR-P's
+  // shared locals, which only a lending context may serve.
+  virtual Status ReadView(storage::Table* /*t*/, TableId table, Key key,
+                          Row* buf, const Row** view) {
+    PACMAN_CHECK_MSG(buf != nullptr,
+                     "shared VM locals need a row-lending access context");
+    *view = buf;
+    return Read(table, key, buf);
   }
   virtual void WriteTable(storage::Table* /*t*/, TableId table, Key key,
                           Row row, bool deleted, bool is_insert) {
@@ -54,7 +65,7 @@ class TxnAccess : public AccessContext {
       : catalog_(catalog), txn_(txn) {}
 
   Status Read(TableId table, Key key, Row* out) override {
-    return ReadTable(catalog_->GetTable(table), table, key, out);
+    return txn_->Read(catalog_->GetTable(table), key, out);
   }
   void Write(TableId table, Key key, Row row, bool deleted,
              bool is_insert) override {
@@ -62,9 +73,12 @@ class TxnAccess : public AccessContext {
                deleted, is_insert);
   }
 
-  Status ReadTable(storage::Table* t, TableId /*table*/, Key key,
-                   Row* out) override {
-    return txn_->Read(t, key, out);
+  // Copies: the transaction must see its own buffered writes, which are
+  // not published versions.
+  Status ReadView(storage::Table* t, TableId /*table*/, Key key, Row* buf,
+                  const Row** view) override {
+    *view = buf;
+    return txn_->Read(t, key, buf);
   }
   void WriteTable(storage::Table* t, TableId /*table*/, Key key, Row row,
                   bool deleted, bool is_insert) override {
@@ -101,7 +115,10 @@ class ReplayAccess : public AccessContext {
   void set_commit_ts(Timestamp cts) { cts_ = cts; }
 
   Status Read(TableId table, Key key, Row* out) override {
-    return ReadTable(catalog_->GetTable(table), table, key, out);
+    const Row* row = nullptr;
+    Status s = ReadView(catalog_->GetTable(table), table, key, nullptr, &row);
+    if (s.ok()) *out = *row;
+    return s;
   }
 
   void Write(TableId table, Key key, Row row, bool deleted,
@@ -110,10 +127,14 @@ class ReplayAccess : public AccessContext {
                deleted, is_insert);
   }
 
-  Status ReadTable(storage::Table* t, TableId /*table*/, Key key,
-                   Row* out) override {
+  // Zero-copy: lends the newest version's row, which stays valid and
+  // unchanged while later installs add newer versions (storage/tuple.h).
+  // `buf` is never touched.
+  Status ReadView(storage::Table* t, TableId /*table*/, Key key,
+                  Row* /*buf*/, const Row** view) override {
     reads_++;
-    return t->Read(key, kMaxTimestamp, out);
+    *view = t->NewestRow(key);
+    return *view != nullptr ? Status::Ok() : Status::NotFound();
   }
 
   void WriteTable(storage::Table* t, TableId /*table*/, Key key, Row row,

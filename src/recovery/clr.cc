@@ -54,8 +54,9 @@ void BuildClrReplay(const std::vector<GlobalBatch>& batches,
     graph->task(replay).dynamic_work = [b, catalog, registry, counters,
                                         cm, programs]() {
       proc::ReplayAccess access(catalog, proc::InstallMode::kUnlatched);
-      // Replay-thread arena: VM registers/locals/scratch recycled across
-      // all re-executed transactions of this thread.
+      // Replay-thread arena: VM registers/local views/scratch recycled
+      // across all re-executed transactions of this thread. ReplayAccess
+      // lends version rows, so the arena's copy targets stay unused.
       thread_local proc::ExecArena arena;
       double cost = 0.0;
       for (const logging::LogRecord* rec : b->records) {

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cmath>
 #include <memory>
-#include <thread>
 #include <unordered_map>
 
 #include "common/macros.h"
@@ -28,8 +26,9 @@ uint64_t PackAccess(TableId table, Key key) {
 struct TxnReplay {
   const logging::LogRecord* rec = nullptr;
   proc::ProcState state;  // Procedural transactions, interpreter path.
-  // Compiled path: locals/present shared by all pieces of the transaction
-  // (different threads may run them); registers and scratch are bound
+  // Compiled path: the local views shared by all pieces of the transaction
+  // (different threads may run them) — pointers to the immutable version
+  // rows the reads returned, no copies; registers and scratch are bound
   // from each replay thread's own arena at piece execution time.
   proc::VmTxnLocals vm_locals;
 };
@@ -214,10 +213,11 @@ void BuildClrPReplay(const analysis::GlobalDependencyGraph& gdg,
     if (reload_only) continue;
 
     // --- Piece-set tasks ------------------------------------------------
-    // A piece-set runs as `cores` parallel worker tasks on the shared CPU
-    // pool (its assigned cores, §4.4); the first worker performs the real
-    // replay and computes the internal parallel makespan, which every
-    // worker then occupies a core for. ps_tasks[k] is the join task.
+    // A piece-set runs as `cores` worker tasks on the shared CPU pool (its
+    // assigned cores, §4.4); the first worker performs the real replay,
+    // serially, and computes the modeled parallel makespan, which every
+    // worker then occupies a simulated core for. ps_tasks[k] is the join
+    // task.
     std::vector<sim::TaskId> ps_tasks(num_blocks);
     for (BlockId k = 0; k < num_blocks; ++k) {
       const uint32_t cores =
@@ -228,7 +228,7 @@ void BuildClrPReplay(const analysis::GlobalDependencyGraph& gdg,
                             table_block, piece_ops, programs]() -> double {
         proc::ReplayAccess access(catalog, proc::InstallMode::kUnlatched);
         // Compiled path: this replay thread's private registers/scratch;
-        // the per-transaction locals live in TxnReplay::vm_locals.
+        // the per-transaction local views live in TxnReplay::vm_locals.
         thread_local proc::ExecArena arena;
         // Pieces execute in batch order == ascending commit TID, and the
         // conflict chains below serialize pieces that share a key in that
@@ -369,7 +369,8 @@ void BuildClrPReplay(const analysis::GlobalDependencyGraph& gdg,
 
       // Worker tasks: lowest id runs first within the pool's FIFO order,
       // so the real replay happens once and the remaining workers just
-      // occupy the block's other assigned cores for the same duration.
+      // occupy the block's other assigned simulated cores for the same
+      // duration.
       sim::TaskId join =
           graph->AddTask(0.0, nullptr, layout.cpu_group, batch.seq);
       std::vector<sim::TaskId> workers;
@@ -384,22 +385,14 @@ void BuildClrPReplay(const analysis::GlobalDependencyGraph& gdg,
           };
         } else {
           graph->task(w).dynamic_work = [computed]() {
-            // The simulated machine dispatches the first worker before its
-            // siblings (FIFO by id within the group), so this never loops
-            // there; the real-thread backend may run siblings concurrently
-            // with the replay, so wait for the computed makespan. The wait
-            // is bounded: on the sequential simulated backend a dispatch-
-            // order regression could never satisfy it, and we want that to
-            // fail fast instead of livelocking.
-            const auto deadline =
-                std::chrono::steady_clock::now() + std::chrono::seconds(60);
-            double makespan;
-            while ((makespan = computed->load(std::memory_order_acquire)) <
-                   0.0) {
-              PACMAN_CHECK(std::chrono::steady_clock::now() < deadline);
-              std::this_thread::yield();
-            }
-            return makespan;
+            // The simulated machine runs tasks one at a time and dispatches
+            // the first worker before its siblings (FIFO by id within the
+            // group), so the makespan is always there to occupy this core
+            // for. The real-thread backend ignores returned costs: a
+            // sibling that finds no makespan yet returns at once and frees
+            // its thread for other piece-sets instead of waiting for the
+            // first worker's replay.
+            return std::max(0.0, computed->load(std::memory_order_acquire));
           };
         }
         graph->AddEdge(deser, w);

@@ -7,11 +7,19 @@
 // (§4.4). When a piece-set activates, the runtime parameter values of its
 // pieces are available (from the log and from upstream piece-sets), so the
 // dynamic analysis computes each piece's (table, key) access set and
-// chains only truly conflicting pieces; everything else runs in parallel
-// latch-free (§4.3.1). Batches are pipelined: piece-set (batch b, block k)
-// needs only its same-batch dependencies and (b-1, k), not a global
-// barrier (§4.3.2). Ad-hoc transactions appear as write-only pieces routed
-// to the block owning the written table (§4.5).
+// chains only truly conflicting pieces (§4.3.1). Batches are pipelined:
+// piece-set (batch b, block k) needs only its same-batch dependencies and
+// (b-1, k), not a global barrier (§4.3.2). Ad-hoc transactions appear as
+// write-only pieces routed to the block owning the written table (§4.5).
+//
+// What runs in parallel depends on the backend. On the simulated machine
+// the dynamic analysis list-schedules a piece-set's pieces onto its
+// assigned cores, latch-free, and the piece-set occupies those cores for
+// the resulting makespan. On real threads one worker replays each
+// piece-set serially, in commit order; parallelism comes only from
+// distinct blocks running side by side and from batch pipelining. The
+// measured layouts on 4 threads: TPC-C has 15 blocks at 1 core each;
+// Smallbank has 1 block, so its log replay is a single serial chain.
 #ifndef PACMAN_RECOVERY_CLR_P_H_
 #define PACMAN_RECOVERY_CLR_P_H_
 
@@ -26,9 +34,11 @@ namespace pacman::recovery {
 
 // The core-to-block assignment for one CLR-P run (§4.4, Fig. 10). All
 // recovery threads form one pool; every piece-set of block k is executed
-// as `block_cores[k]` parallel worker tasks on that pool, so each assigned
-// core genuinely occupies pool capacity and contention between blocks
-// emerges from the simulation rather than from an analytic correction.
+// as `block_cores[k]` worker tasks on that pool. In the simulation each
+// assigned core genuinely occupies pool capacity for the piece-set's
+// modeled makespan, so contention between blocks emerges from the
+// simulation rather than from an analytic correction. On real threads the
+// first worker replays the piece-set alone and the others return at once.
 struct ClrPLayout {
   sim::MachineConfig machine;          // SSD groups + one CPU pool.
   sim::GroupId cpu_group = 0;          // The pool's group id.

@@ -1,9 +1,10 @@
 // Copyright (c) 2026 The PACMAN reproduction authors.
 // Virtual-time cost model for recovery and logging work.
 //
-// The paper's numbers come from a 40-core Xeon with two SATA SSDs; this
-// host has one core, so experiment magnitudes are produced by a calibrated
-// cost model executed on the discrete-event machine (DESIGN.md §2). The
+// The paper's numbers come from a 40-core Xeon with two SATA SSDs, far
+// more cores than the hosts this reproduction runs on, so experiment
+// magnitudes are produced by a calibrated cost model executed on the
+// discrete-event machine (sim/machine.h, sim/task_graph.h). The
 // constants below are set so that single-thread command-log replay costs
 // ~150us per TPC-C transaction (the paper's CLR replays a 5-minute,
 // ~93 Ktps run in ~4200 s single-threaded, §6.2.2) and so that per-tuple

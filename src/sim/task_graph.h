@@ -3,11 +3,13 @@
 // Task graphs executed on the simulated multicore machine (sim::Machine).
 //
 // The paper's evaluation ran on a 40-core server; this reproduction runs on
-// a single-core host. Recovery and logging work is therefore decomposed
-// into tasks with calibrated virtual costs. The *side effects* of every
-// task (actual index lookups, version installs, deserialization) run for
-// real when the simulator dispatches the task, so correctness is fully
-// exercised; only the clock is virtual. See DESIGN.md §2.
+// hosts with a few cores. Recovery and logging work is therefore
+// decomposed into tasks with calibrated virtual costs
+// (recovery/cost_model.h). The *side effects* of every task (actual index
+// lookups, version installs, deserialization) run for real when the
+// simulator dispatches the task, so correctness is fully exercised; only
+// the clock is virtual. The same graphs also run on real threads
+// (exec/task_graph_runner.h), which ignore the virtual costs.
 #ifndef PACMAN_SIM_TASK_GRAPH_H_
 #define PACMAN_SIM_TASK_GRAPH_H_
 

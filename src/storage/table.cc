@@ -98,6 +98,13 @@ Status Table::ReadObserved(Key key, Timestamp ts, Row* out,
   return Status::Ok();
 }
 
+const Row* Table::NewestRow(Key key) const {
+  const TupleSlot* slot = GetSlot(key);
+  if (slot == nullptr) return nullptr;
+  const Version* v = slot->newest.load(std::memory_order_acquire);
+  return v == nullptr || v->deleted ? nullptr : &v->data;
+}
+
 void Table::InstallVersionLatched(TupleSlot* slot, Row row, Timestamp ts,
                                   bool deleted) {
   SpinLatchGuard g(slot->latch);

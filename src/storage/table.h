@@ -54,6 +54,12 @@ class Table {
   // --- MVCC reads -------------------------------------------------------
   // Copies the row visible at `ts` into *out; kNotFound if absent/deleted.
   Status Read(Key key, Timestamp ts, Row* out) const;
+  // Zero-copy read of the newest version (what Read at kMaxTimestamp
+  // copies): a pointer to its row, or nullptr when the key has no version
+  // or the newest one is a tombstone. Published versions are immutable and
+  // live until Reset() (storage/tuple.h), so the pointer stays valid and
+  // keeps the value it read even after newer versions are installed.
+  const Row* NewestRow(Key key) const;
   // Same, and also reports the begin_ts of the version the read resolved
   // to (tombstones included), or 0 when the key had no version at `ts`,
   // plus the slot itself (nullptr when the key has none). Those are what
@@ -115,7 +121,8 @@ class Table {
   uint64_t VisibleCount(Timestamp ts) const;
 
   // Drops all tuples and index entries. Models the loss of main memory at a
-  // crash: recovery starts from an empty table.
+  // crash: recovery starts from an empty table. Frees every version, so it
+  // invalidates every row NewestRow() has handed out.
   void Reset();
 
  private:

@@ -19,7 +19,16 @@
 
 namespace pacman::storage {
 
-// One committed version of a tuple. Immutable once linked into the chain.
+// One committed version of a tuple. Immutable once linked into the chain:
+// `data`, `begin_ts` and `deleted` are never written after the release
+// store that publishes the version (only `end_ts` is stamped when a newer
+// version supersedes it), and the version lives until its slot is
+// destroyed by Table::Reset or the table's destruction — the engine has no
+// version GC. Recovery replay relies on both: the VM's replay reads lend
+// `&data` instead of copying it (Table::NewestRow, proc/bytecode.h), and a
+// replayed transaction holds those views across its piece-sets while later
+// pieces install newer versions of the same keys. Any future version GC
+// must therefore not reclaim versions while a recovery holds such views.
 struct Version {
   Timestamp begin_ts = kInvalidTimestamp;  // Creator's commit timestamp.
   Timestamp end_ts = kMaxTimestamp;        // Superseder's commit timestamp.

@@ -201,8 +201,10 @@ TEST(BytecodeParityTest, ReplayParityAcrossAllSchemes) {
   }
 }
 
-// Arena reuse: Bind() resets presence flags between transactions but
-// keeps row/register capacity, so steady-state execution does not grow.
+// Arena reuse: Bind() clears the local views between transactions but
+// keeps the copy targets' capacity, so steady-state execution does not
+// grow. Runs through TxnAccess, which copies every read into the arena;
+// ReplayAccess lends version rows and never writes the copy targets.
 TEST(ExecArenaTest, BindResetsPresenceAndKeepsCapacity) {
   workload::Bank bank{workload::BankConfig{
       .num_users = 20, .num_nations = 2, .single_fraction = 0.0}};
@@ -214,32 +216,83 @@ TEST(ExecArenaTest, BindResetsPresenceAndKeepsCapacity) {
   const std::vector<Value> params = {Value(int64_t{0}), Value(5.0)};
   proc::VmState st = arena.Bind(prog, &params);
   for (uint16_t l = 0; l < prog.num_locals; ++l) {
-    EXPECT_EQ(st.present[l], 0);
+    EXPECT_EQ(st.locals[l], nullptr);
   }
 
-  proc::ReplayAccess access(db->catalog(), proc::InstallMode::kUnlatched);
-  access.set_commit_ts(1);
+  txn::Transaction t = db->txn_manager()->Begin();
+  proc::TxnAccess access(db->catalog(), &t);
   ASSERT_TRUE(proc::VmExecuteAll(&st, &access).ok());
+  db->txn_manager()->Abort(&t);
   bool any_present = false;
-  for (uint16_t l = 0; l < prog.num_locals; ++l) {
-    any_present = any_present || st.present[l] != 0;
-  }
-  EXPECT_TRUE(any_present);
   std::vector<size_t> caps;
   for (uint16_t l = 0; l < prog.num_locals; ++l) {
-    caps.push_back(st.locals[l].capacity());
+    if (st.locals[l] != nullptr) {
+      any_present = true;
+      EXPECT_EQ(st.locals[l], &st.rows[l]);  // A copy, not a lent row.
+    }
+    caps.push_back(st.rows[l].capacity());
   }
+  EXPECT_TRUE(any_present);
 
-  // Rebind: presence cleared, the rows' heap capacity survives.
+  // Rebind: views cleared, the copy targets' heap capacity survives.
   proc::VmState st2 = arena.Bind(prog, &params);
   for (uint16_t l = 0; l < prog.num_locals; ++l) {
-    EXPECT_EQ(st2.present[l], 0);
-    EXPECT_EQ(st2.locals[l].capacity(), caps[l]);
+    EXPECT_EQ(st2.locals[l], nullptr);
+    EXPECT_EQ(st2.rows[l].capacity(), caps[l]);
   }
 }
 
+// Zero-copy replay reads: ReplayAccess lends the slot's newest
+// Version::data, leaves the caller's copy target untouched, and the lent
+// row keeps the value it read after a later install supersedes it.
+TEST(ReplayAccessTest, ReadViewLendsNewestVersionRow) {
+  workload::Bank bank{workload::BankConfig{
+      .num_users = 20, .num_nations = 2, .single_fraction = 0.0}};
+  auto db = MakeBankDb(true, LogScheme::kCommand, &bank);
+  storage::Table* current = db->catalog()->GetTable("Current");
+  const Key key = 3;
+  const storage::Version* loaded = current->GetSlot(key)->newest.load();
+  ASSERT_NE(loaded, nullptr);
+
+  proc::ReplayAccess access(db->catalog(), proc::InstallMode::kUnlatched);
+  Row buf = {Value("untouched")};
+  const Row* view = nullptr;
+  ASSERT_TRUE(
+      access.ReadView(current, current->id(), key, &buf, &view).ok());
+  EXPECT_EQ(view, &loaded->data);
+  ASSERT_EQ(buf.size(), 1u);
+  EXPECT_EQ(buf[0].AsStringView(), "untouched");
+  const Row before = *view;
+
+  access.set_commit_ts(loaded->begin_ts + 1);
+  access.Write(current->id(), key, {Value(-1.0)}, false, false);
+  EXPECT_EQ(view, &loaded->data);
+  ASSERT_EQ(view->size(), before.size());
+  for (size_t c = 0; c < before.size(); ++c) {
+    EXPECT_TRUE(SameValue((*view)[c], before[c]));
+  }
+  const Row* newer = nullptr;
+  ASSERT_TRUE(
+      access.ReadView(current, current->id(), key, &buf, &newer).ok());
+  EXPECT_EQ(newer, &current->GetSlot(key)->newest.load()->data);
+  EXPECT_NE(newer, view);
+  EXPECT_EQ((*newer)[0].AsDouble(), -1.0);
+
+  // Misses: a key with no slot and a tombstoned key both read NotFound.
+  EXPECT_EQ(access.ReadView(current, current->id(), 1u << 20, &buf, &newer)
+                .code(),
+            StatusCode::kNotFound);
+  access.set_commit_ts(loaded->begin_ts + 2);
+  access.Write(current->id(), key, {}, true, false);
+  EXPECT_EQ(access.ReadView(current, current->id(), key, &buf, &newer).code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(buf[0].AsStringView(), "untouched");
+  EXPECT_EQ(access.reads(), 4u);
+}
+
 // Shared-locals binding (CLR-P): VmTxnLocals carries the per-transaction
-// rows across piece executions; BindShared points the state at them.
+// views across piece executions; BindShared points the state at them and
+// offers no copy targets, so every read must be a lent version row.
 TEST(ExecArenaTest, BindSharedUsesTxnLocals) {
   workload::Bank bank{workload::BankConfig{
       .num_users = 20, .num_nations = 2, .single_fraction = 0.0}};
@@ -249,26 +302,34 @@ TEST(ExecArenaTest, BindSharedUsesTxnLocals) {
 
   proc::VmTxnLocals locals;
   locals.Reset(prog.num_locals);
-  ASSERT_EQ(locals.rows.size(), prog.num_locals);
-  ASSERT_EQ(locals.present.size(), prog.num_locals);
+  ASSERT_EQ(locals.views.size(), prog.num_locals);
 
   proc::ExecArena arena;
   const std::vector<Value> params = {Value(int64_t{0}), Value(5.0)};
   proc::VmState st = arena.BindShared(prog, &params, &locals);
-  EXPECT_EQ(st.locals, locals.rows.data());
-  EXPECT_EQ(st.present, locals.present.data());
+  EXPECT_EQ(st.locals, locals.views.data());
+  EXPECT_EQ(st.rows, nullptr);
 
+  storage::Table* current = db->catalog()->GetTable("Current");
+  const storage::Version* read_version = current->GetSlot(0)->newest.load();
   proc::ReplayAccess access(db->catalog(), proc::InstallMode::kUnlatched);
-  access.set_commit_ts(1);
+  access.set_commit_ts(read_version->begin_ts + 1);
   ASSERT_TRUE(proc::VmExecuteAll(&st, &access).ok());
-  bool any_present = false;
-  for (uint16_t l = 0; l < prog.num_locals; ++l) {
-    any_present = any_present || locals.present[l] != 0;
+  // Transfer reads Current[src] into a local, then writes Current[src]:
+  // the local still views the version it read, now superseded.
+  int src_cur = -1;
+  for (const proc::Operation& op : prog.def->ops) {
+    if (op.type == proc::OpType::kRead && op.table_name == "Current") {
+      src_cur = op.output_local;
+      break;
+    }
   }
-  EXPECT_TRUE(any_present);
+  ASSERT_GE(src_cur, 0);
+  EXPECT_EQ(locals.views[src_cur], &read_version->data);
+  EXPECT_NE(current->GetSlot(0)->newest.load(), read_version);
   locals.Reset(prog.num_locals);
   for (uint16_t l = 0; l < prog.num_locals; ++l) {
-    EXPECT_EQ(locals.present[l], 0);
+    EXPECT_EQ(locals.views[l], nullptr);
   }
 }
 

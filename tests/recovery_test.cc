@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "proc/procedure.h"
 #include "workload/adhoc.h"
 #include "workload/bank.h"
 #include "workload/smallbank.h"
@@ -321,6 +322,75 @@ TEST(RecoveryStatsTest, ClrIsSlowerThanClrPInVirtualTime) {
   // substantially faster than serial replay at 16 threads.
   EXPECT_LT(clr_p, clr / 2.0);
 }
+
+// A procedure that reads key K into a local, writes K, and then uses the
+// local — as a field and as the base row of a second write of K. Replay
+// reads lend the read version's row instead of copying it, so the local
+// must keep that version's value while the same piece installs a newer
+// one. Recovery must reproduce the forward state under CLR and CLR-P,
+// sharded and unsharded, on both backends.
+class ReadWriteUseRecoveryTest
+    : public ::testing::TestWithParam<
+          std::tuple<Scheme, uint32_t, ExecutionBackend>> {};
+
+TEST_P(ReadWriteUseRecoveryTest, LocalKeepsTheValueItRead) {
+  const auto [scheme, shards, backend] = GetParam();
+  DatabaseOptions opts;
+  opts.scheme = LogScheme::kCommand;
+  opts.num_shards = shards;
+  opts.commits_per_epoch = 10;
+  opts.epochs_per_batch = 2;
+  Database db(opts);
+  storage::Table* acct = db.catalog()->CreateTable(
+      "Acct", Schema({{"balance", ValueType::kDouble, 0},
+                      {"note", ValueType::kString, 48}}));
+  // ReadWriteUse(k, j, amount). Notes are longer than the inline-string
+  // limit, so every row owns heap storage a dangling view would expose.
+  proc::ProcedureBuilder b(
+      "ReadWriteUse",
+      {ValueType::kInt64, ValueType::kInt64, ValueType::kDouble});
+  const int own = b.Read("Acct", proc::P(0));
+  b.Update("Acct", proc::P(0), own,
+           {{0, proc::Add(proc::F(own, 0), proc::P(2))},
+            {1, proc::C(std::string(40, 'w'))}});
+  const int other = b.Read("Acct", proc::P(1));
+  b.Update("Acct", proc::P(1), other,
+           {{0, proc::Add(proc::F(other, 0), proc::F(own, 0))}});
+  b.Update("Acct", proc::P(0), own,
+           {{0, proc::Sub(proc::F(own, 0), proc::P(2))}});
+  const ProcId id = db.registry()->Register(b.Build());
+  constexpr int64_t kKeys = 24;
+  for (int64_t k = 0; k < kKeys; ++k) {
+    acct->LoadRow(k,
+                  {Value(100.0 + static_cast<double>(k)),
+                   Value("note-" + std::to_string(k) + std::string(24, '.'))},
+                  1);
+  }
+  db.FinalizeSchema();
+  db.TakeCheckpoint();
+
+  Rng rng(31);
+  for (int i = 0; i < 200; ++i) {
+    const int64_t k = rng.UniformInt(0, kKeys - 1);
+    const int64_t j = rng.UniformInt(0, kKeys - 1);
+    const auto amount = static_cast<double>(rng.UniformInt(1, 9));
+    ASSERT_TRUE(
+        db.ExecuteProcedure(id, {Value(k), Value(j), Value(amount)}).ok());
+  }
+  const uint64_t pre = db.ContentHash();
+  db.Crash();
+  RecoveryOptions ropts;
+  ropts.num_threads = 4;
+  db.Recover(scheme, ropts, backend);
+  EXPECT_EQ(db.ContentHash(), pre);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ClrSchemes, ReadWriteUseRecoveryTest,
+    ::testing::Combine(::testing::Values(Scheme::kClr, Scheme::kClrP),
+                       ::testing::Values(1u, 4u),
+                       ::testing::Values(ExecutionBackend::kSimulated,
+                                         ExecutionBackend::kThreads)));
 
 TEST(ReloadOnlyTest, ReloadSkipsReplay) {
   DatabaseOptions opts;
