@@ -1,10 +1,10 @@
 // Fig. 16: overall database recovery (checkpoint recovery + log recovery,
 // stacked) with 40 recovery threads, on TPC-C and Smallbank — plus the
-// recovery_scaling section: end-to-end Recover() wall time and replay
-// throughput of the pipelined load path (recovery/log_pipeline.h) against
-// the serial reference loader, across thread counts and log sizes.
-// `--json PATH` records every row (BENCH_recovery.json at the repo root
-// holds the committed before/after baseline in this format).
+// recovery_scaling sections: end-to-end Recover() wall time and replay
+// throughput of the pipelined load path (recovery/log_pipeline.h), across
+// thread counts, log sizes and replay backends. `--json PATH` records
+// every row (BENCH_recovery.json at the repo root holds the committed
+// rows in this format).
 #include <algorithm>
 #include <chrono>
 
@@ -51,15 +51,13 @@ void Run(bool tpcc, int num_txns) {
 }
 
 // End-to-end Recover() wall clock (checkpoint restore + log load + replay,
-// including everything in front of the replay graph — the serial loader's
-// read/deserialize/merge prefix is exactly what the pipeline removes).
-// `txns_per_sec` carries replayed records per wall second. Sections:
-// recovery_scaling (pipelined load, the default) vs
-// recovery_scaling_serial_load (pipelined_load = false, the seed path),
-// both on the default simulated replay backend fig16's headline table
-// uses; recovery_scaling_threads[_serial_load] repeats the sweep on the
-// real-thread backend with overlapped replay (gates) — on a single-core
-// host the overlap only adds switching, on multicore it compounds.
+// including everything in front of the replay graph). `txns_per_sec`
+// carries replayed records per wall second. Sections: recovery_scaling on
+// the default simulated replay backend fig16's headline table uses;
+// recovery_scaling_threads repeats the sweep on the real-thread backend
+// with overlapped replay (gates) — the path a restarted server takes. On
+// a single-core host the overlap only adds switching, on multicore it
+// compounds.
 void RecoveryScaling(Scheme scheme, uint64_t base_txns,
                      bool threads_backend) {
   const char* scheme_name = pacman::recovery::SchemeName(scheme);
@@ -70,50 +68,45 @@ void RecoveryScaling(Scheme scheme, uint64_t base_txns,
   std::printf("%-10s %8s %8s %10s %12s %12s\n", "loader", "threads", "txns",
               "records", "wall (s)", "records/s");
   for (uint64_t txns : {base_txns / 2, base_txns, base_txns * 2}) {
-    // One durable state per log size: every (threads, loader) row below
-    // recovers literally the same checkpoint + log, so the rows being
-    // compared cannot drift apart on forward-run nondeterminism.
+    // One durable state per log size: every threads row below recovers
+    // literally the same checkpoint + log, so the rows being compared
+    // cannot drift apart on forward-run nondeterminism.
     Env env = MakeTpccEnv(FormatFor(scheme));
     const uint64_t hash = RunWorkload(&env, static_cast<int>(txns));
     for (uint32_t threads : {1u, 2u, 4u}) {
-      for (bool pipelined : {false, true}) {
-        pacman::recovery::RecoveryOptions opts;
-        opts.num_threads = threads;
-        opts.pipelined_load = pipelined;
-        // Median of repeated recoveries of the same durable state
-        // (recover -> crash -> recover), so one cold page-in or scheduler
-        // hiccup cannot masquerade as a loader difference.
-        constexpr int kReps = 3;
-        double walls[kReps];
-        FullRecoveryResult r;
-        for (int rep = 0; rep < kReps; ++rep) {
-          env.db->Crash();
-          const auto t0 = std::chrono::steady_clock::now();
-          r = env.db->Recover(scheme, opts,
-                              threads_backend ? ExecutionBackend::kThreads
-                                              : ExecutionBackend::kSimulated);
-          walls[rep] =
-              std::chrono::duration<double>(
-                  std::chrono::steady_clock::now() - t0)
-                  .count();
-          PACMAN_CHECK(env.db->ContentHash() == hash);
-        }
-        std::sort(walls, walls + kReps);
-        const double wall = walls[kReps / 2];
-        const double rps =
-            wall > 0.0 ? static_cast<double>(r.log.records_replayed) / wall
-                       : 0.0;
-        std::printf("%-10s %8u %8llu %10llu %12.4f %12.0f\n",
-                    pipelined ? "pipelined" : "serial", threads,
-                    static_cast<unsigned long long>(txns),
-                    static_cast<unsigned long long>(r.log.records_replayed),
-                    wall, rps);
-        std::string section = threads_backend ? "recovery_scaling_threads"
-                                              : "recovery_scaling";
-        if (!pipelined) section += "_serial_load";
-        RecordJson({section, scheme_name, threads, txns, rps, 0.0, 0.0, 0.0,
-                    wall});
+      pacman::recovery::RecoveryOptions opts;
+      opts.num_threads = threads;
+      // Median of repeated recoveries of the same durable state
+      // (recover -> crash -> recover), so one cold page-in or scheduler
+      // hiccup cannot masquerade as a thread-count difference.
+      constexpr int kReps = 3;
+      double walls[kReps];
+      FullRecoveryResult r;
+      for (int rep = 0; rep < kReps; ++rep) {
+        env.db->Crash();
+        const auto t0 = std::chrono::steady_clock::now();
+        r = env.db->Recover(scheme, opts,
+                            threads_backend ? ExecutionBackend::kThreads
+                                            : ExecutionBackend::kSimulated);
+        walls[rep] =
+            std::chrono::duration<double>(
+                std::chrono::steady_clock::now() - t0)
+                .count();
+        PACMAN_CHECK(env.db->ContentHash() == hash);
       }
+      std::sort(walls, walls + kReps);
+      const double wall = walls[kReps / 2];
+      const double rps =
+          wall > 0.0 ? static_cast<double>(r.log.records_replayed) / wall
+                     : 0.0;
+      std::printf("%-10s %8u %8llu %10llu %12.4f %12.0f\n",
+                  "pipelined", threads,
+                  static_cast<unsigned long long>(txns),
+                  static_cast<unsigned long long>(r.log.records_replayed),
+                  wall, rps);
+      RecordJson({threads_backend ? "recovery_scaling_threads"
+                                  : "recovery_scaling",
+                  scheme_name, threads, txns, rps, 0.0, 0.0, 0.0, wall});
     }
   }
 }
@@ -131,9 +124,8 @@ int main(int argc, char** argv) {
   PrintTitle("Fig. 16 - Overall performance of database recovery (40 threads)");
   Run(/*tpcc=*/true, txns);
   Run(/*tpcc=*/false, txns);
-  // CL-P = the headline scheme (replay-bound: the pipeline's win is the
-  // loader share); LL-P = the load-bound scheme (install-only replay, so
-  // the loader dominates and the pipelined/serial gap is widest).
+  // CL-P = the headline scheme (replay-bound); LL-P = the load-bound
+  // scheme (install-only replay, so the loader dominates).
   RecoveryScaling(Scheme::kClrP, flags.txns, /*threads_backend=*/false);
   RecoveryScaling(Scheme::kLlrP, flags.txns, /*threads_backend=*/false);
   RecoveryScaling(Scheme::kClrP, flags.txns, /*threads_backend=*/true);
@@ -141,10 +133,9 @@ int main(int argc, char** argv) {
       "\nExpected shape (paper): CLR worst by far (serial log replay);\n"
       "LLR-P best (parallel, latch-free, write-only reinstall); CLR-P\n"
       "close behind (it re-executes reads too); checkpoint recovery is a\n"
-      "small fraction of the total for every scheme. The scaling section\n"
-      "compares end-to-end wall time of the serial reference loader vs the\n"
-      "pipelined load path on this host (single-core containers see the\n"
-      "zero-copy/streaming-merge CPU win; multicore hosts add overlap).\n");
+      "small fraction of the total for every scheme. The scaling sections\n"
+      "report end-to-end wall time of the pipelined load path on this host\n"
+      "(multicore hosts add reader parallelism and load/replay overlap).\n");
   WriteJsonReport(flags.json, "fig16_overall_recovery");
   return 0;
 }

@@ -1,6 +1,6 @@
 // Copyright (c) 2026 The PACMAN reproduction authors.
 // Shared fixed-size thread pool — the execution layer under both ends of
-// the engine: recovery task graphs (recovery::RunOnThreads) and concurrent
+// the engine: recovery task graphs (exec::RunTaskGraph) and concurrent
 // forward processing (pacman::WorkloadDriver).
 //
 // Workers are created once and tagged with dense WorkerIds [0, size);

@@ -5,12 +5,12 @@
 #include <cstdio>
 #include <thread>
 
+#include "exec/task_graph_runner.h"
 #include "exec/thread_pool.h"
 #include "proc/exec_arena.h"
 #include "recovery/checkpoint_recovery.h"
 #include "recovery/clr.h"
 #include "recovery/clr_p.h"
-#include "recovery/executor.h"
 #include "recovery/log_pipeline.h"
 #include "recovery/tuple_replay.h"
 #include "sim/machine.h"
@@ -542,55 +542,43 @@ FullRecoveryResult Database::Recover(recovery::Scheme scheme,
   // below consumes prefetched stripes; the log-replay graph consumes
   // global batches as the streaming merge publishes them (overlapped with
   // replay on the real-thread backend via per-seq gates).
-  const bool pipelined = opts.pipelined_load;
-  const bool overlap =
-      pipelined && backend == ExecutionBackend::kThreads;
-  // A sharded engine recovers each shard on its own lane: one pipelined
-  // loader per shard, filtered to that shard's logger stream. The streams
-  // are disjoint by construction (StageSharded routes every record — or
-  // cross-shard sub-record — to its home shard's logger), so there is no
-  // cross-shard merge stage at all and the lanes replay independently.
-  // The serial reference loader stays global even when sharded: it is the
-  // parity oracle, and equal-TID sub-records commute because they touch
-  // disjoint keys.
-  const uint32_t num_lanes =
-      pipelined && options_.num_shards > 1 ? options_.num_shards : 1;
-  std::unique_ptr<exec::ThreadPool> load_pool;
-  std::unique_ptr<recovery::CheckpointPrefetch> prefetch;
+  const bool overlap = backend == ExecutionBackend::kThreads;
+  // Each shard recovers on its own lane: one loader per shard, filtered
+  // to that shard's logger stream. The streams are disjoint by
+  // construction (StageSharded routes every record — or cross-shard
+  // sub-record — to its home shard's logger), so there is no cross-shard
+  // merge stage at all and the lanes replay independently. An unsharded
+  // engine is one lane over every logger's stream.
+  const uint32_t num_lanes = options_.num_shards;
+  exec::ThreadPool load_pool(std::max(1u, opts.num_threads));
+  recovery::CheckpointPrefetch prefetch(meta, checkpointer_.get(),
+                                        &load_pool);
   std::vector<std::unique_ptr<recovery::PipelinedLogLoader>> loaders;
-  if (pipelined) {
-    const uint32_t load_workers = std::max(
-        1u, opts.load_threads != 0 ? opts.load_threads : opts.num_threads);
-    load_pool = std::make_unique<exec::ThreadPool>(load_workers);
-    prefetch = std::make_unique<recovery::CheckpointPrefetch>(
-        meta, checkpointer_.get(), load_pool.get());
-    for (uint32_t lane = 0; lane < num_lanes; ++lane) {
-      recovery::LogPipelineOptions lopts;
-      lopts.num_threads = load_workers;
-      lopts.checkpoint_ts = meta.ts;
-      lopts.pepoch = pepoch;
-      lopts.num_ssds = num_ssds;
-      if (num_lanes > 1) lopts.logger_filter = lane;
-      loaders.push_back(std::make_unique<recovery::PipelinedLogLoader>(
-          options_.scheme, devices, load_pool.get(), lopts));
-      loaders.back()->Start();
-    }
+  for (uint32_t lane = 0; lane < num_lanes; ++lane) {
+    recovery::LogPipelineOptions lopts;
+    lopts.num_threads = load_pool.size();
+    lopts.checkpoint_ts = meta.ts;
+    lopts.pepoch = pepoch;
+    lopts.num_ssds = num_ssds;
+    if (num_lanes > 1) lopts.logger_filter = lane;
+    loaders.push_back(std::make_unique<recovery::PipelinedLogLoader>(
+        options_.scheme, devices, &load_pool, lopts));
+    loaders.back()->Start();
   }
 
   // --- Stage 1: checkpoint recovery -------------------------------------
   {
     sim::TaskGraph graph;
     recovery::RecoveryCounters counters;
-    recovery::BuildCheckpointRecovery(meta, checkpointer_.get(), devices,
-                                      &catalog_, scheme, opts, &graph,
-                                      &counters, prefetch.get());
+    recovery::BuildCheckpointRecovery(meta, devices, &catalog_, scheme, opts,
+                                      &graph, &counters, prefetch);
     if (backend == ExecutionBackend::kSimulated) {
       sim::Machine machine(
           recovery::StandardMachine(num_ssds, opts.num_threads));
       result.checkpoint.seconds = machine.Run(graph).makespan;
     } else {
       result.checkpoint.seconds =
-          recovery::RunOnThreads(&graph, opts.num_threads);
+          exec::RunTaskGraph(&graph, opts.num_threads);
     }
     counters.FillStats(&result.checkpoint);
   }
@@ -598,50 +586,30 @@ FullRecoveryResult Database::Recover(recovery::Scheme scheme,
   // --- Stage 2: log recovery ---------------------------------------------
   recovery::RecoveryOptions log_opts = opts;
   log_opts.checkpoint_ts = meta.ts;
+  log_opts.num_shard_lanes = num_lanes;
+  // The replay cores are split evenly across lanes: the lanes are
+  // balanced by the shard hash, and a lane never blocks on another.
+  const uint32_t lane_threads =
+      std::max(1u, log_opts.num_threads / num_lanes);
 
-  // The serial reference loader (pipelined_load = false): read +
-  // deserialize every batch file on this thread, merge, then verify the
-  // per-key contract over the whole log. The pipeline performs the same
-  // steps fragment-parallel and verifies each batch as it is merged, so
-  // by the time replay may consume a batch it is already checked.
-  std::vector<logging::LogBatch> raw_batches;
-  std::vector<recovery::GlobalBatch> serial_batches;
-  if (!pipelined) {
-    s = logging::LogStore::LoadAllBatches(options_.scheme, devices,
-                                          &raw_batches);
-    PACMAN_CHECK_MSG(s.ok(), s.message().c_str());
-    serial_batches =
-        recovery::MergeBatches(raw_batches, num_ssds, meta.ts, pepoch);
-    // The invariant every replay scheme rests on — per-key commit-TID
-    // order across the global reload order; NOT a globally totally
-    // ordered stream (see recovery.h) — is cheap to check against the
-    // actual log, so check it on every recovery rather than trusting the
-    // commit protocol.
-    Status order = recovery::VerifyPerKeyCommitOrder(serial_batches);
-    PACMAN_CHECK_MSG(order.ok(), order.message().c_str());
-  }
-
-  // Builds and runs the replay graph for one batch stream — the whole log
-  // (single lane) or one shard's logger stream — and returns the chosen
-  // backend's seconds for it. Counters are shared across lanes (atomic).
-  // `lane_loader` is null on the serial reference path; with `overlap`
-  // the graph is built against the loader's batch skeletons and gated per
-  // batch, so replay of batch k overlaps the load of batch k+1.
+  // Builds and runs the replay graph for one lane's batch stream and
+  // returns the chosen backend's seconds for it. Counters are shared
+  // across lanes (atomic). With `overlap` the graph is built against the
+  // loader's batch skeletons and gated per batch, so replay of batch k
+  // overlaps the load of batch k+1.
   recovery::RecoveryCounters counters;
-  auto run_log_replay = [&](const std::vector<recovery::GlobalBatch>& batches,
-                            recovery::PipelinedLogLoader* lane_loader,
-                            uint32_t lane_threads) -> double {
+  auto run_lane = [&](uint32_t lane) -> double {
+    recovery::PipelinedLogLoader* loader = loaders[lane].get();
+    const std::vector<recovery::GlobalBatch>& batches = loader->batches();
     recovery::RecoveryOptions lane_opts = log_opts;
     lane_opts.num_threads = lane_threads;
-    if (num_lanes > 1) lane_opts.num_shard_lanes = num_lanes;
-    const bool lane_overlap = overlap && lane_loader != nullptr;
     sim::TaskGraph graph;
     sim::MachineConfig machine_config =
         recovery::StandardMachine(num_ssds, lane_threads);
     std::vector<sim::TaskId> gates;
     const std::vector<sim::TaskId>* gates_ptr = nullptr;
-    if (lane_overlap) {
-      gates = recovery::AddBatchGates(lane_loader, &graph,
+    if (overlap) {
+      gates = recovery::AddBatchGates(loader, &graph,
                                       recovery::CpuGroup(num_ssds));
       gates_ptr = &gates;
     }
@@ -663,13 +631,13 @@ FullRecoveryResult Database::Recover(recovery::Scheme scheme,
             lane_opts.gdg_override != nullptr ? lane_opts.gdg_override
                                               : &gdg_;
         recovery::ClrPLayout layout;
-        if (lane_overlap && !batches.empty()) {
+        if (overlap && !batches.empty()) {
           // Core assignment from the first merged batch as the workload
           // sample (see PlanClrPLayout): waiting for the whole log here
           // would forfeit the load/replay overlap, and the assignment
           // only shapes scheduling.
-          const recovery::GlobalBatch* first = lane_loader->WaitBatch(0);
-          PACMAN_CHECK_MSG(first != nullptr, lane_loader->error_message());
+          const recovery::GlobalBatch* first = loader->WaitBatch(0);
+          PACMAN_CHECK_MSG(first != nullptr, loader->error_message());
           std::vector<recovery::GlobalBatch> sample(1, *first);
           layout = recovery::PlanClrPLayout(*gdg, sample, &registry_,
                                             num_ssds, lane_opts);
@@ -688,153 +656,100 @@ FullRecoveryResult Database::Recover(recovery::Scheme scheme,
       sim::Machine machine(machine_config);
       return machine.Run(graph).makespan;
     }
-    return recovery::RunOnThreads(&graph, lane_threads);
+    return exec::RunTaskGraph(&graph, lane_threads);
   };
 
-  if (!pipelined) {
-    result.log.seconds =
-        run_log_replay(serial_batches, nullptr, log_opts.num_threads);
-  } else if (num_lanes == 1) {
-    if (!overlap) {
-      // Simulated replay backend: the graph is a virtual-time model and
-      // wants the full batch vector up front — the load itself still ran
-      // multicore (and overlapped checkpoint restore above).
-      Status ls = loaders[0]->WaitAll();
-      PACMAN_CHECK_MSG(ls.ok(), loaders[0]->error_message());
-    }
-    result.log.seconds = run_log_replay(loaders[0]->batches(),
-                                        loaders[0].get(),
-                                        log_opts.num_threads);
-  } else {
-    // Per-shard lanes. The replay cores are split evenly: the lanes are
-    // balanced by the shard hash, and a lane never blocks on another.
-    const uint32_t lane_threads =
-        std::max(1u, log_opts.num_threads / num_lanes);
-    if (backend == ExecutionBackend::kSimulated) {
-      for (uint32_t lane = 0; lane < num_lanes; ++lane) {
-        Status ls = loaders[lane]->WaitAll();
-        PACMAN_CHECK_MSG(ls.ok(), loaders[lane]->error_message());
-      }
-      if (scheme == recovery::Scheme::kLlrP) {
-        // Virtual time, latch-free tuple replay: all lanes' graphs run
-        // on ONE machine — each lane keeps its own serial device core
-        // (the streams are disjoint), but the CPU pool is shared, so
-        // the simulated scheduler balances replay work across lanes
-        // exactly as a real machine's cores would. A static
-        // lane_threads-per-lane split would charge the makespan of the
-        // unluckiest lane; the shard hash balances the streams well but
-        // not perfectly, and latch-free installs gain nothing from
-        // bounding how many threads work one lane.
-        sim::TaskGraph graph;
-        recovery::RecoveryOptions lane_opts = log_opts;
-        lane_opts.num_shard_lanes = num_lanes;
-        for (uint32_t lane = 0; lane < num_lanes; ++lane) {
-          recovery::BuildTupleLogReplay(scheme, loaders[lane]->batches(),
-                                        devices, &catalog_, lane_opts,
-                                        &graph, &counters, nullptr);
-        }
-        sim::Machine machine(
-            recovery::StandardMachine(num_ssds, log_opts.num_threads));
-        result.log.seconds = machine.Run(graph).makespan;
-      } else {
-        // Every other scheme keeps one lane_threads-core machine per
-        // lane, finishing when the slowest lane does. For the latched
-        // schemes (PLR/LLR) the bound is not just conservatism: capping
-        // a lane at lane_threads caps how many threads contend on that
-        // lane's tuples, so each write pays LatchCost(lane_threads)
-        // instead of the full pool's — per-shard lanes genuinely shrink
-        // the latch-contention width. CLR-P additionally builds
-        // per-lane machine layouts (its planner allocates per-block
-        // core groups), which cannot share one machine config.
-        double slowest = 0.0;
-        for (uint32_t lane = 0; lane < num_lanes; ++lane) {
-          slowest = std::max(
-              slowest, run_log_replay(loaders[lane]->batches(),
-                                      loaders[lane].get(), lane_threads));
-        }
-        result.log.seconds = slowest;
-      }
-    } else {
-      // Real threads: the lanes genuinely run concurrently (each with its
-      // own per-batch gates when overlapped), and the stage's wall time
-      // is measured around the joins.
-      const auto start = std::chrono::steady_clock::now();
-      std::vector<std::thread> lanes;
-      lanes.reserve(num_lanes);
-      for (uint32_t lane = 0; lane < num_lanes; ++lane) {
-        lanes.emplace_back([&, lane] {
-          if (!overlap) {
-            Status ls = loaders[lane]->WaitAll();
-            PACMAN_CHECK_MSG(ls.ok(), loaders[lane]->error_message());
-          }
-          run_log_replay(loaders[lane]->batches(), loaders[lane].get(),
-                         lane_threads);
-        });
-      }
-      for (std::thread& lane : lanes) lane.join();
-      result.log.seconds =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        start)
-              .count();
-    }
-  }
-  counters.FillStats(&result.log);
-
-  if (pipelined) {
-    // Already returned for the non-overlap paths; after an overlapped run
-    // every gate has passed, so this only surfaces a failure that struck
-    // past the last published batch.
+  if (backend == ExecutionBackend::kSimulated) {
+    // The graph is a virtual-time model and wants the full batch vector
+    // up front — the load itself still ran multicore (and overlapped
+    // checkpoint restore above).
     for (const auto& loader : loaders) {
       Status ls = loader->WaitAll();
       PACMAN_CHECK_MSG(ls.ok(), loader->error_message());
     }
-  }
-
-  Timestamp max_cts = meta.ts;
-  if (pipelined) {
-    for (const auto& loader : loaders) {
-      max_cts = std::max(max_cts, loader->max_commit_ts());
+    if (scheme == recovery::Scheme::kLlrP) {
+      // Virtual time, latch-free tuple replay: all lanes' graphs run on
+      // ONE machine — each lane keeps its own serial device core (the
+      // streams are disjoint), but the CPU pool is shared, so the
+      // simulated scheduler balances replay work across lanes exactly as
+      // a real machine's cores would. A static lane_threads-per-lane
+      // split would charge the makespan of the unluckiest lane; the shard
+      // hash balances the streams well but not perfectly, and latch-free
+      // installs gain nothing from bounding how many threads work one
+      // lane.
+      sim::TaskGraph graph;
+      for (const auto& loader : loaders) {
+        recovery::BuildTupleLogReplay(scheme, loader->batches(), devices,
+                                      &catalog_, log_opts, &graph,
+                                      &counters, nullptr);
+      }
+      sim::Machine machine(
+          recovery::StandardMachine(num_ssds, log_opts.num_threads));
+      result.log.seconds = machine.Run(graph).makespan;
+    } else {
+      // Every other scheme keeps one lane_threads-core machine per lane,
+      // finishing when the slowest lane does. For the latched schemes
+      // (PLR/LLR) the bound is not just conservatism: capping a lane at
+      // lane_threads caps how many threads contend on that lane's
+      // tuples, so each write pays LatchCost(lane_threads) instead of the
+      // full pool's — per-shard lanes genuinely shrink the
+      // latch-contention width. CLR-P additionally builds per-lane
+      // machine layouts (its planner allocates per-block core groups),
+      // which cannot share one machine config.
+      double slowest = 0.0;
+      for (uint32_t lane = 0; lane < num_lanes; ++lane) {
+        slowest = std::max(slowest, run_lane(lane));
+      }
+      result.log.seconds = slowest;
     }
   } else {
-    for (const auto& b : serial_batches) {
-      for (const auto* r : b.records) {
-        max_cts = std::max(max_cts, r->commit_ts);
-      }
+    // Real threads: the lanes genuinely run concurrently, each with its
+    // own per-batch gates. Lane 0 runs on the calling thread, so an
+    // unsharded restart adds no thread hop; the stage's wall time is
+    // measured around the joins.
+    const auto start = std::chrono::steady_clock::now();
+    std::vector<std::thread> lanes;
+    lanes.reserve(num_lanes - 1);
+    for (uint32_t lane = 1; lane < num_lanes; ++lane) {
+      lanes.emplace_back([&, lane] { run_lane(lane); });
     }
+    run_lane(0);
+    for (std::thread& lane : lanes) lane.join();
+    result.log.seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
   }
+  counters.FillStats(&result.log);
 
-  txn_manager_.ResetAfterRecovery(max_cts);
   // Continuity across a process restart: commit timestamps resume past
-  // the replayed log (above), the epoch counter resumes past the epoch
-  // floor (else the pepoch watermark would regress below already-durable
+  // the replayed log, the epoch counter resumes past the epoch floor
+  // (else the pepoch watermark would regress below already-durable
   // records and a later recovery would drop them), and the next
   // checkpoint gets a fresh id. All three are no-ops for an in-process
   // Crash()/Recover() cycle. The floor is the durable pepoch watermark;
   // if the watermark file itself never made it to the device (kill before
   // the first FlushAll finished), every loaded record was replayed, so
   // the max replayed epoch serves instead.
+  Timestamp max_cts = meta.ts;
   Epoch epoch_floor = 0;
   const bool have_floor = pepoch != kMaxTimestamp;
   if (have_floor) epoch_floor = pepoch;
   bool zombies = false;
   bool any_batches = false;
-  if (pipelined) {
-    for (const auto& loader : loaders) {
-      if (!have_floor) {
-        epoch_floor = std::max(epoch_floor, loader->max_record_epoch());
-      }
-      zombies = zombies || loader->zombie_records() > 0;
-      any_batches = any_batches || loader->num_batches() > 0;
+  for (const auto& loader : loaders) {
+    // The simulated backend already waited; after an overlapped run every
+    // gate has passed, so this only surfaces a failure that struck past
+    // the last published batch. The aggregates are valid from here on.
+    Status ls = loader->WaitAll();
+    PACMAN_CHECK_MSG(ls.ok(), loader->error_message());
+    max_cts = std::max(max_cts, loader->max_commit_ts());
+    if (!have_floor) {
+      epoch_floor = std::max(epoch_floor, loader->max_record_epoch());
     }
-  } else {
-    for (const auto& b : raw_batches) {
-      for (const auto& r : b.records) {
-        if (!have_floor) epoch_floor = std::max(epoch_floor, r.epoch);
-        zombies = zombies || (have_floor && r.epoch > epoch_floor);
-      }
-    }
-    any_batches = !raw_batches.empty();
+    zombies = zombies || loader->zombie_records() > 0;
+    any_batches = any_batches || loader->num_batches() > 0;
   }
+  txn_manager_.ResetAfterRecovery(max_cts);
   if (have_floor || any_batches) {
     epochs_.ResetAfterRecovery(epoch_floor);
   }

@@ -25,19 +25,17 @@ class CheckpointPrefetch;
 // Appends the checkpoint-recovery tasks for `meta` to `graph` using the
 // standard group layout (SSD groups + CPU pool). Real side effects load
 // tuples into `catalog`. Counter categories: loading for io/deserialize,
-// useful for tuple/index installation. With `prefetch` (the pipelined
-// load path), each stripe's read + deserialization already runs on the
-// load pool and the graph task consumes the parsed stripe — the stripes
-// load in parallel with each other and with the log pipeline, instead of
-// one ReadStripe per task dispatch.
+// useful for tuple/index installation. Each stripe's read +
+// deserialization already runs on the load pool behind `prefetch`, and
+// the graph task consumes the parsed stripe — the stripes load in
+// parallel with each other and with the log pipeline.
 void BuildCheckpointRecovery(const logging::CheckpointMeta& meta,
-                             const logging::Checkpointer* checkpointer,
                              const std::vector<device::StorageDevice*>& ssds,
                              storage::Catalog* catalog, Scheme scheme,
                              const RecoveryOptions& options,
                              sim::TaskGraph* graph,
                              RecoveryCounters* counters,
-                             CheckpointPrefetch* prefetch = nullptr);
+                             CheckpointPrefetch& prefetch);
 
 // Standard machine for non-CLR-P recovery graphs: one serial core per SSD
 // plus a CPU pool of options.num_threads cores.

@@ -48,10 +48,10 @@ struct ClrPLayout {
 // Computes the per-block core assignment from the piece distribution of
 // the reloaded batches (§4.4, Fig. 10), weighted by the cost model so
 // heavy blocks get proportional shares. The distribution is an estimate
-// made "at log reloading time": the serial loader passes every batch;
-// the streaming pipeline passes the first merged batch as a sample (the
-// assignment shapes scheduling, never correctness, and waiting for the
-// full log would forfeit the load/replay overlap).
+// made "at log reloading time": the simulated backend passes every
+// batch; the overlapped real-thread backend passes the first merged batch
+// as a sample (the assignment shapes scheduling, never correctness, and
+// waiting for the full log would forfeit the load/replay overlap).
 ClrPLayout PlanClrPLayout(const analysis::GlobalDependencyGraph& gdg,
                           const std::vector<GlobalBatch>& batches,
                           const proc::ProcedureRegistry* registry,

@@ -31,7 +31,7 @@ LogLoadPlan PlanLogLoad(const std::vector<device::StorageDevice*>& devices,
     }
   }
   // Global reload order: (seq, logger). The per-seq fragment lists then
-  // come out in ascending logger order, matching the serial loader.
+  // come out in ascending logger order, matching LoadAllBatches.
   std::sort(plan.files.begin(), plan.files.end(),
             [](const BatchFileInfo& a, const BatchFileInfo& b) {
               if (a.seq != b.seq) return a.seq < b.seq;
@@ -84,7 +84,7 @@ void PipelinedLogLoader::Start() {
   pending_.resize(plan_.seqs.size());
   for (size_t k = 0; k < plan_.seqs.size(); ++k) {
     // Skeletons: the metadata replay builders need at graph-build time,
-    // before any file contents exist. Same values the serial merge
+    // before any file contents exist. Same values the reference merge
     // produces (device = logger % num_ssds; size from the listing).
     batches_[k].seq = plan_.seqs[k];
     pending_[k] = plan_.seq_files[k].size();
@@ -229,12 +229,11 @@ void PipelinedLogLoader::DrainReadySeqs(std::unique_lock<std::mutex>& lk) {
       }
     }
     // Over the *replayable* records (post checkpoint/pepoch cuts), like
-    // the serial path: the TID counter resumes past what was replayed.
+    // MergeBatches: the TID counter resumes past what was replayed.
     for (const logging::LogRecord* r : merged.records) {
       max_commit_ts_ = std::max(max_commit_ts_, r->commit_ts);
     }
-    Status vs = options_.verify_order ? verifier_.Check(merged)
-                                      : Status::Ok();
+    Status vs = verifier_.Check(merged);
     lk.lock();
     if (!vs.ok()) {
       if (error_.ok()) {

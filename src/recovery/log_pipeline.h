@@ -2,10 +2,11 @@
 // Pipelined multicore recovery load path (paper §6.2.3's recovery-time
 // claim depends on it: reloading must not serialize in front of replay).
 //
-// The serial reference loader (LogStore::LoadAllBatches + MergeBatches)
-// reads and deserializes one batch file at a time on one thread, then
-// merges everything before replay may start — a serial prefix that grows
-// linearly with log size. This pipeline rebuilds that prefix as three
+// Database::Recover() loads the log only through this pipeline. Reading
+// and deserializing one batch file at a time, then merging everything
+// before replay may start (LogStore::LoadAllBatches + MergeBatches, kept
+// as the reference the tests compare against), is a serial prefix that
+// grows linearly with log size. The pipeline runs that prefix as three
 // overlapped stages on an exec::ThreadPool:
 //
 //   readers      one job per device, reading that device's batch files in
@@ -16,8 +17,8 @@
 //                the retained file buffer, LogBatch::backing);
 //   merge        a seq-ordered producer: the worker that completes the
 //                last fragment of the next pending sequence number merges
-//                that seq's fragments into a GlobalBatch (identical
-//                algorithm to the serial path: MergeBatchGroup), runs the
+//                that seq's fragments into a GlobalBatch (the same
+//                MergeBatchGroup the reference merge uses), runs the
 //                incremental per-key commit-order verification, and
 //                publishes it.
 //
@@ -92,7 +93,6 @@ struct LogPipelineOptions {
   Timestamp checkpoint_ts = 0;
   Epoch pepoch = kMaxTimestamp;
   uint32_t num_ssds = 1;
-  bool verify_order = true;
   // Restrict this loader to one logger's batch stream (see PlanLogLoad).
   uint32_t logger_filter = kNoLoggerFilter;
 };

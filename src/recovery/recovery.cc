@@ -97,20 +97,4 @@ Status PerKeyOrderVerifier::Check(const GlobalBatch& batch) {
   return Status::Ok();
 }
 
-Status VerifyPerKeyCommitOrder(const std::vector<GlobalBatch>& batches) {
-  PerKeyOrderVerifier verifier;
-  size_t writes = 0;
-  for (const GlobalBatch& batch : batches) {
-    for (const logging::LogRecord* rec : batch.records) {
-      writes += rec->writes.size();
-    }
-  }
-  verifier.Reserve(writes);
-  for (const GlobalBatch& batch : batches) {
-    Status s = verifier.Check(batch);
-    if (!s.ok()) return s;
-  }
-  return Status::Ok();
-}
-
 }  // namespace pacman::recovery

@@ -59,17 +59,6 @@ struct RecoveryOptions {
   // CLR-P only: replay with an alternative statically-derived graph
   // (Fig. 18 uses the transaction-chopping decomposition).
   const analysis::GlobalDependencyGraph* gdg_override = nullptr;
-  // Pipelined multicore load path (recovery/log_pipeline.h): batch files
-  // are read and deserialized in parallel (zero-copy, one reader per
-  // device stream), checkpoint stripes are prefetched concurrently, and a
-  // streaming merge hands each seq's GlobalBatch onward as soon as its
-  // per-logger fragments are parsed. On the real-thread backend, replay
-  // of batch k then overlaps the load of batch k+1 (the barrier is
-  // per-seq, not global). Off = the serial reference loader, kept as the
-  // bitwise-parity baseline (tests/recovery_pipeline_test.cc).
-  bool pipelined_load = true;
-  // Worker threads of the load pipeline; 0 = num_threads.
-  uint32_t load_threads = 0;
 };
 
 // Virtual-time busy breakdown (Fig. 20 categories).
@@ -135,7 +124,7 @@ class RecoveryCounters {
 //  - per key, write images appear in ascending commit TID across the
 //    global reload order (within and across epochs) — the invariant
 //    PLR/LLR's last-writer-wins installs, LLR-P's in-order partition
-//    installs, and VerifyPerKeyCommitOrder below encode;
+//    installs, and PerKeyOrderVerifier below encode;
 //  - any two *conflicting* transactions (w-w, w-r, and r-w) have TIDs in
 //    their serialization order, so re-executing commands in TID order
 //    (CLR serially, CLR-P under its dependency graph) reproduces the
@@ -152,14 +141,15 @@ struct GlobalBatch {
 // logger order, drops records with commit_ts <= checkpoint_ts (already
 // durable in the checkpoint) or beyond the pepoch watermark (their
 // results were never released to clients, Appendix A), then sorts by
-// commit timestamp. Shared by the serial loader (MergeBatches) and the
+// commit timestamp. Shared by the reference merge (MergeBatches) and the
 // streaming pipeline, so both produce bit-identical replay input.
 void MergeBatchGroup(const logging::LogBatch* const* fragments, size_t n,
                      uint32_t num_ssds, Timestamp checkpoint_ts, Epoch pepoch,
                      GlobalBatch* out);
 
 // Groups per-logger batches by sequence number and merges their records by
-// commit timestamp. `num_ssds` maps logger id -> device (id % num_ssds).
+// commit timestamp — the one-shot reference the streaming pipeline is
+// tested against (Database::Recover always streams). `num_ssds` maps logger id -> device (id % num_ssds).
 // Records with commit_ts <= checkpoint_ts are dropped (already durable in
 // the checkpoint), as are records beyond the pepoch watermark (their
 // results were never released to clients, Appendix A).
@@ -176,10 +166,9 @@ std::vector<GlobalBatch> MergeBatches(
 // pass over the write images; command records without images (pure CL
 // entries) have nothing tuple-level to verify.
 //
-// The incremental form: feed batches in global reload order (ascending
-// seq). The streaming load pipeline verifies each GlobalBatch as it is
-// merged, before replay may consume it; the one-shot function below is
-// the same check over a fully-materialized batch vector.
+// Feed batches in global reload order (ascending seq). The streaming load
+// pipeline verifies each GlobalBatch as it is merged, before replay may
+// consume it.
 class PerKeyOrderVerifier {
  public:
   // Pre-sizes the conflict table for the expected number of distinct
@@ -190,8 +179,6 @@ class PerKeyOrderVerifier {
  private:
   std::unordered_map<uint64_t, Timestamp> last_cts_;
 };
-
-Status VerifyPerKeyCommitOrder(const std::vector<GlobalBatch>& batches);
 
 // Shared machine-layout convention for recovery task graphs:
 //   groups [0, num_ssds)      : one serial core per device;

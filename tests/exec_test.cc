@@ -1,5 +1,6 @@
 // Tests for the shared execution layer: thread pool semantics, worker-id
-// tagging, quiescence, and task-graph execution on a reused pool.
+// tagging, quiescence, and task-graph execution (dependency order,
+// exactly-once execution, priority dispatch, pool reuse).
 #include "exec/thread_pool.h"
 
 #include <gtest/gtest.h>
@@ -8,6 +9,7 @@
 #include <set>
 #include <vector>
 
+#include "common/random.h"
 #include "exec/task_graph_runner.h"
 #include "exec/worker_context.h"
 #include "sim/task_graph.h"
@@ -114,6 +116,93 @@ TEST(TaskGraphRunnerTest, GraphTasksRunOnTaggedWorkers) {
   }
   RunTaskGraph(&g, &pool);
   EXPECT_EQ(bad.load(), 0);
+}
+
+// The real-thread task-graph executor (the library's recovery backend):
+// dependency order, exactly-once execution, priority dispatch.
+
+TEST(ExecutorTest, RunsEveryTaskExactlyOnce) {
+  sim::TaskGraph g;
+  std::atomic<int> count{0};
+  for (int i = 0; i < 500; ++i) {
+    g.AddTask(0.0, [&]() { count.fetch_add(1); });
+  }
+  RunTaskGraph(&g, 4);
+  EXPECT_EQ(count.load(), 500);
+}
+
+TEST(ExecutorTest, RespectsDependencyOrder) {
+  sim::TaskGraph g;
+  std::atomic<int> stage{0};
+  sim::TaskId a = g.AddTask(0.0, [&]() {
+    int expected = 0;
+    EXPECT_TRUE(stage.compare_exchange_strong(expected, 1));
+  });
+  sim::TaskId b = g.AddTask(0.0, [&]() {
+    int expected = 1;
+    EXPECT_TRUE(stage.compare_exchange_strong(expected, 2));
+  });
+  sim::TaskId c = g.AddTask(0.0, [&]() {
+    int expected = 2;
+    EXPECT_TRUE(stage.compare_exchange_strong(expected, 3));
+  });
+  g.AddEdge(a, b);
+  g.AddEdge(b, c);
+  RunTaskGraph(&g, 8);
+  EXPECT_EQ(stage.load(), 3);
+}
+
+TEST(ExecutorTest, RandomDagsCompleteInTopologicalOrder) {
+  Rng rng(77);
+  for (int trial = 0; trial < 20; ++trial) {
+    sim::TaskGraph g;
+    const int n = 200;
+    std::vector<std::atomic<bool>> done(n);
+    for (auto& d : done) d.store(false);
+    std::vector<std::vector<sim::TaskId>> deps(n);
+    for (int i = 0; i < n; ++i) {
+      // Random backward edges keep the graph acyclic.
+      int ndeps = static_cast<int>(rng.Uniform(0, 3));
+      for (int k = 0; k < ndeps && i > 0; ++k) {
+        deps[i].push_back(static_cast<sim::TaskId>(rng.Uniform(0, i - 1)));
+      }
+    }
+    for (int i = 0; i < n; ++i) {
+      std::vector<sim::TaskId> my_deps = deps[i];
+      sim::TaskId t = g.AddTask(0.0, [&done, my_deps, i]() {
+        for (sim::TaskId d : my_deps) {
+          EXPECT_TRUE(done[d].load()) << "dep ran after dependent";
+        }
+        done[i].store(true);
+      });
+      for (sim::TaskId d : deps[i]) g.AddEdge(d, t);
+      ASSERT_EQ(t, static_cast<sim::TaskId>(i));
+    }
+    RunTaskGraph(&g, 1 + trial % 4);
+    for (auto& d : done) EXPECT_TRUE(d.load());
+  }
+}
+
+TEST(ExecutorTest, DynamicWorkIsInvoked) {
+  sim::TaskGraph g;
+  std::atomic<int> calls{0};
+  sim::TaskId a = g.AddTask(5.0, nullptr);
+  g.task(a).dynamic_work = [&]() {
+    calls.fetch_add(1);
+    return 1.0;
+  };
+  RunTaskGraph(&g, 2);
+  EXPECT_EQ(calls.load(), 1);
+}
+
+TEST(ExecutorTest, SingleThreadFollowsPriorityOrder) {
+  sim::TaskGraph g;
+  std::vector<int> order;
+  g.AddTask(0.0, [&]() { order.push_back(0); }, 0, /*priority=*/9);
+  g.AddTask(0.0, [&]() { order.push_back(1); }, 0, /*priority=*/1);
+  g.AddTask(0.0, [&]() { order.push_back(2); }, 0, /*priority=*/5);
+  RunTaskGraph(&g, 1);
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 0}));
 }
 
 }  // namespace

@@ -633,7 +633,6 @@ DatabaseOptions SweepOptions(recovery::Scheme scheme, uint32_t shards) {
   // beyond the pepoch watermark, never already-acked epochs.
   opts.epochs_per_batch = 1;
   opts.ckpt_files_per_ssd = 2;
-  opts.compiled_procedures = false;  // Analysis speed; parity pinned elsewhere.
   return opts;
 }
 

@@ -1,8 +1,10 @@
-// Pipelined-recovery suite: the parallel load + streaming merge path
-// (recovery/log_pipeline.h) must produce bit-identical post-recovery
-// table state to the serial reference loader for every scheme, stay
-// seq-ordered under out-of-order fragment arrival, and fail loudly (with
-// file name + offset) on corrupt batch files.
+// Pipelined-recovery suite: recovery through the parallel load +
+// streaming merge path (recovery/log_pipeline.h) must reproduce the
+// pre-crash table state for every scheme on both replay backends, the
+// streaming merge must match the reference merge (MergeBatches) and stay
+// seq-ordered under out-of-order fragment arrival, and the loader must
+// fail loudly on corrupt batch files (file name + offset) and on logs
+// that violate per-key commit order (table + key).
 #include "recovery/log_pipeline.h"
 
 #include <gtest/gtest.h>
@@ -14,6 +16,7 @@
 #include <thread>
 
 #include "device/file_device.h"
+#include "device/simulated_ssd.h"
 #include "pacman/database.h"
 #include "workload/bank.h"
 #include "workload/tpcc.h"
@@ -39,16 +42,16 @@ LogScheme SchemeLogFormat(Scheme s) {
   return LogScheme::kCommand;
 }
 
-// --- Parity: pipelined recovery == serial recovery, per scheme ------------
+// --- Parity: recovery on both backends == pre-crash state, per scheme -----
 
 enum class Workload { kBank, kTpcc };
 
 class RecoveryParityTest
     : public ::testing::TestWithParam<std::tuple<Scheme, Workload>> {};
 
-// One database, one log: recover it three times (serial loader, pipelined
-// loader on the simulated backend, pipelined + overlapped replay on real
-// threads) and demand the identical content hash each time. Re-crashing a
+// One database, one log: recover it twice (simulated backend, then
+// overlapped replay on real threads) and demand the pre-crash content
+// hash and the same replayed-record count each time. Re-crashing a
 // recovered database appends only empty flush batches, so every recovery
 // replays the same committed history.
 TEST_P(RecoveryParityTest, PipelinedMatchesSerialState) {
@@ -95,27 +98,20 @@ TEST_P(RecoveryParityTest, PipelinedMatchesSerialState) {
   const uint64_t pre_crash = db.ContentHash();
   db.Crash();
 
-  RecoveryOptions serial;
-  serial.num_threads = 4;
-  serial.pipelined_load = false;
-  FullRecoveryResult rs = db.Recover(scheme, serial);
-  const uint64_t serial_hash = db.ContentHash();
-  EXPECT_EQ(serial_hash, pre_crash);
-  EXPECT_GT(rs.log.records_replayed, 0u);
+  RecoveryOptions ropts;
+  ropts.num_threads = 4;
+  FullRecoveryResult sim = db.Recover(scheme, ropts);
+  EXPECT_EQ(db.ContentHash(), pre_crash)
+      << "simulated-backend recovery diverged from the pre-crash state";
+  EXPECT_GT(sim.log.records_replayed, 0u);
 
   db.Crash();
-  RecoveryOptions piped;
-  piped.num_threads = 4;
-  piped.pipelined_load = true;
-  db.Recover(scheme, piped);
-  EXPECT_EQ(db.ContentHash(), serial_hash)
-      << "pipelined (simulated backend) diverged from serial recovery";
-
-  db.Crash();
-  piped.load_threads = 3;
-  db.Recover(scheme, piped, ExecutionBackend::kThreads);
-  EXPECT_EQ(db.ContentHash(), serial_hash)
-      << "pipelined (overlapped real-thread backend) diverged from serial";
+  ropts.num_threads = 3;
+  FullRecoveryResult threads =
+      db.Recover(scheme, ropts, ExecutionBackend::kThreads);
+  EXPECT_EQ(db.ContentHash(), pre_crash)
+      << "overlapped real-thread recovery diverged from the pre-crash state";
+  EXPECT_EQ(threads.log.records_replayed, sim.log.records_replayed);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -330,6 +326,50 @@ TEST(CorruptBatchTest, TruncatedBatchFileOnPersistentDeviceIsLoud) {
 
   dev.RemoveAll();
   std::filesystem::remove_all(dir);
+}
+
+// --- Per-key commit-order violations are rejected by name -----------------
+
+// Two logical-scheme batch files in which key 42 of table 3 carries a
+// lower commit TID in the later seq — a log no correct commit protocol
+// writes. The streaming merge must publish the earlier seq, refuse the
+// offending one, and name the table and key in the error.
+TEST(PerKeyOrderTest, LowerTidInLaterSeqIsCorruption) {
+  device::SimulatedSsd dev;
+  auto write_batch = [&](uint64_t seq, Timestamp cts) {
+    logging::LogBatch batch;
+    batch.logger_id = 0;
+    batch.seq = seq;
+    logging::LogRecord rec;
+    rec.commit_ts = cts;
+    rec.epoch = 1;
+    rec.writes.push_back({3, 42, {Value(int64_t{7})}, false});
+    batch.records.push_back(std::move(rec));
+    ASSERT_TRUE(dev.WriteFile(logging::LogStore::BatchFileName(0, seq),
+                              logging::LogStore::SerializeBatch(
+                                  LogScheme::kLogical, batch))
+                    .ok());
+  };
+  write_batch(/*seq=*/1, /*cts=*/200);
+  write_batch(/*seq=*/2, /*cts=*/100);
+
+  exec::ThreadPool pool(2);
+  std::vector<device::StorageDevice*> devices = {&dev};
+  recovery::PipelinedLogLoader loader(LogScheme::kLogical, devices, &pool,
+                                      {});
+  loader.Start();
+  ASSERT_EQ(loader.num_batches(), 2u);
+  const recovery::GlobalBatch* first = loader.WaitBatch(0);
+  ASSERT_NE(first, nullptr);
+  EXPECT_EQ(first->seq, 1u);
+  ASSERT_EQ(first->records.size(), 1u);
+  EXPECT_EQ(first->records[0]->commit_ts, 200u);
+  EXPECT_EQ(loader.WaitBatch(1), nullptr);
+  Status s = loader.WaitAll();
+  ASSERT_FALSE(s.ok());
+  EXPECT_EQ(s.code(), StatusCode::kCorruption);
+  EXPECT_NE(s.message().find("table 3 key 42"), std::string::npos)
+      << s.message();
 }
 
 // --- Pre-sized serialization and zero-copy parsing ------------------------
