@@ -65,8 +65,8 @@ void RecoveryScaling(Scheme scheme, uint64_t base_txns,
       "--- Recovery scaling: %s on TPC-C, %s backend, wall clock ---\n",
       scheme_name,
       threads_backend ? "real threads (overlapped replay)" : "simulated");
-  std::printf("%-10s %8s %8s %10s %12s %12s\n", "loader", "threads", "txns",
-              "records", "wall (s)", "records/s");
+  std::printf("%8s %8s %10s %12s %12s\n", "threads", "txns", "records",
+              "wall (s)", "records/s");
   for (uint64_t txns : {base_txns / 2, base_txns, base_txns * 2}) {
     // One durable state per log size: every threads row below recovers
     // literally the same checkpoint + log, so the rows being compared
@@ -99,8 +99,7 @@ void RecoveryScaling(Scheme scheme, uint64_t base_txns,
       const double rps =
           wall > 0.0 ? static_cast<double>(r.log.records_replayed) / wall
                      : 0.0;
-      std::printf("%-10s %8u %8llu %10llu %12.4f %12.0f\n",
-                  "pipelined", threads,
+      std::printf("%8u %8llu %10llu %12.4f %12.0f\n", threads,
                   static_cast<unsigned long long>(txns),
                   static_cast<unsigned long long>(r.log.records_replayed),
                   wall, rps);

@@ -630,25 +630,19 @@ FullRecoveryResult Database::Recover(recovery::Scheme scheme,
         const analysis::GlobalDependencyGraph* gdg =
             lane_opts.gdg_override != nullptr ? lane_opts.gdg_override
                                               : &gdg_;
+        // The core assignment shapes only the simulation; real threads
+        // give every piece-set all of the lane's threads.
         recovery::ClrPLayout layout;
-        if (overlap && !batches.empty()) {
-          // Core assignment from the first merged batch as the workload
-          // sample (see PlanClrPLayout): waiting for the whole log here
-          // would forfeit the load/replay overlap, and the assignment
-          // only shapes scheduling.
-          const recovery::GlobalBatch* first = loader->WaitBatch(0);
-          PACMAN_CHECK_MSG(first != nullptr, loader->error_message());
-          std::vector<recovery::GlobalBatch> sample(1, *first);
-          layout = recovery::PlanClrPLayout(*gdg, sample, &registry_,
-                                            num_ssds, lane_opts);
-        } else {
+        const recovery::ClrPLayout* layout_ptr = nullptr;
+        if (backend == ExecutionBackend::kSimulated) {
           layout = recovery::PlanClrPLayout(*gdg, batches, &registry_,
                                             num_ssds, lane_opts);
+          machine_config = layout.machine;
+          layout_ptr = &layout;
         }
         recovery::BuildClrPReplay(*gdg, batches, devices, &catalog_,
-                                  &registry_, lane_opts, layout, &graph,
+                                  &registry_, lane_opts, layout_ptr, &graph,
                                   &counters, gates_ptr, &programs_);
-        machine_config = layout.machine;
         break;
       }
     }

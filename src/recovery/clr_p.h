@@ -2,24 +2,24 @@
 // CLR-P: the PACMAN parallel command-log recovery runtime (paper §4).
 //
 // For every log batch PACMAN instantiates one piece-set per GDG block
-// (§4.2); piece-sets are the coordination granularity (§4.2.1). Cores are
-// assigned to blocks proportionally to the observed workload distribution
-// (§4.4). When a piece-set activates, the runtime parameter values of its
-// pieces are available (from the log and from upstream piece-sets), so the
-// dynamic analysis computes each piece's (table, key) access set and
-// chains only truly conflicting pieces (§4.3.1). Batches are pipelined:
-// piece-set (batch b, block k) needs only its same-batch dependencies and
-// (b-1, k), not a global barrier (§4.3.2). Ad-hoc transactions appear as
-// write-only pieces routed to the block owning the written table (§4.5).
+// (§4.2); piece-sets are the coordination granularity (§4.2.1). When a
+// piece-set activates, the runtime parameter values of its pieces are
+// available (from the log and from upstream piece-sets), so one dynamic
+// analysis pass computes each piece's (table, key) access set and links
+// each piece to the last earlier piece that touched each of its keys: a
+// conflict DAG in TID order, which chains only truly conflicting pieces
+// (§4.3.1). Batches are pipelined: piece-set (batch b, block k) needs only
+// its same-batch dependencies and (b-1, k), not a global barrier (§4.3.2).
+// Ad-hoc transactions appear as write-only pieces routed to the block
+// owning the written table (§4.5).
 //
-// What runs in parallel depends on the backend. On the simulated machine
-// the dynamic analysis list-schedules a piece-set's pieces onto its
-// assigned cores, latch-free, and the piece-set occupies those cores for
-// the resulting makespan. On real threads one worker replays each
-// piece-set serially, in commit order; parallelism comes only from
-// distinct blocks running side by side and from batch pipelining. The
-// measured layouts on 4 threads: TPC-C has 15 blocks at 1 core each;
-// Smallbank has 1 block, so its log replay is a single serial chain.
+// Both backends run the same DAG. On real threads every piece-set gets
+// one worker task per lane thread; the workers pop ready pieces from a
+// shared queue, release each finished piece's successors and exit when
+// nothing is ready, so idle threads help the heavy blocks. On the
+// simulated machine the piece-set occupies its assigned cores (§4.4) for
+// the makespan of a list schedule of the same DAG over the measured
+// per-piece op costs.
 #ifndef PACMAN_RECOVERY_CLR_P_H_
 #define PACMAN_RECOVERY_CLR_P_H_
 
@@ -32,13 +32,14 @@
 
 namespace pacman::recovery {
 
-// The core-to-block assignment for one CLR-P run (§4.4, Fig. 10). All
-// recovery threads form one pool; every piece-set of block k is executed
-// as `block_cores[k]` worker tasks on that pool. In the simulation each
-// assigned core genuinely occupies pool capacity for the piece-set's
-// modeled makespan, so contention between blocks emerges from the
-// simulation rather than from an analytic correction. On real threads the
-// first worker replays the piece-set alone and the others return at once.
+// The simulated core-to-block assignment for one CLR-P run (§4.4,
+// Fig. 10). All recovery threads form one pool; every piece-set of block
+// k runs as `block_cores[k]` worker tasks on that pool, each occupying a
+// simulated core for the piece-set's modeled makespan, so contention
+// between blocks emerges from the simulation rather than from an analytic
+// correction. The layout serves only the simulator: on real threads every
+// piece-set gets one worker per thread and its workers drain the conflict
+// DAG together.
 struct ClrPLayout {
   sim::MachineConfig machine;          // SSD groups + one CPU pool.
   sim::GroupId cpu_group = 0;          // The pool's group id.
@@ -47,18 +48,16 @@ struct ClrPLayout {
 
 // Computes the per-block core assignment from the piece distribution of
 // the reloaded batches (§4.4, Fig. 10), weighted by the cost model so
-// heavy blocks get proportional shares. The distribution is an estimate
-// made "at log reloading time": the simulated backend passes every
-// batch; the overlapped real-thread backend passes the first merged batch
-// as a sample (the assignment shapes scheduling, never correctness, and
-// waiting for the full log would forfeit the load/replay overlap).
+// heavy blocks get proportional shares.
 ClrPLayout PlanClrPLayout(const analysis::GlobalDependencyGraph& gdg,
                           const std::vector<GlobalBatch>& batches,
                           const proc::ProcedureRegistry* registry,
                           uint32_t num_ssds,
                           const RecoveryOptions& options);
 
-// Appends the PACMAN log-replay tasks to `graph` using `layout`'s groups.
+// Appends the PACMAN log-replay tasks to `graph`. `layout` is the
+// simulated core assignment (PlanClrPLayout); pass nullptr on real
+// threads, where every piece-set gets `options.num_threads` workers.
 // `options.mode` selects static-only / synchronous / pipelined execution.
 // `batches` must stay alive until the graph has run; records are read at
 // dispatch time only, so with `batch_gates` (AddBatchGates) each batch
@@ -71,8 +70,8 @@ void BuildClrPReplay(const analysis::GlobalDependencyGraph& gdg,
                      const std::vector<device::StorageDevice*>& ssds,
                      storage::Catalog* catalog,
                      const proc::ProcedureRegistry* registry,
-                     const RecoveryOptions& options,
-                     const ClrPLayout& layout, sim::TaskGraph* graph,
+                     const RecoveryOptions& options, const ClrPLayout* layout,
+                     sim::TaskGraph* graph,
                      RecoveryCounters* counters,
                      const std::vector<sim::TaskId>* batch_gates = nullptr,
                      const proc::ProgramSet* programs = nullptr);

@@ -79,6 +79,10 @@ struct RecoveryStats {
   uint64_t records_replayed = 0;
   uint64_t tuples_restored = 0;
   uint64_t latch_acquisitions = 0;
+  // CLR-P: pieces executed by a piece-set worker other than the one that
+  // analyzed it. Always 0 on the simulated machine, whose first worker
+  // runs the whole piece-set.
+  uint64_t helper_pieces = 0;
 };
 
 // Thread-safe accumulators shared by the task closures of one recovery run.
@@ -91,6 +95,7 @@ class RecoveryCounters {
   void AddRecords(uint64_t n) { records_.fetch_add(n); }
   void AddTuples(uint64_t n) { tuples_.fetch_add(n); }
   void AddLatches(uint64_t n) { latches_.fetch_add(n); }
+  void AddHelperPieces(uint64_t n) { helper_pieces_.fetch_add(n); }
 
   void FillStats(RecoveryStats* stats) const {
     stats->breakdown.useful_work = useful_.load();
@@ -100,6 +105,7 @@ class RecoveryCounters {
     stats->records_replayed = records_.load();
     stats->tuples_restored = tuples_.load();
     stats->latch_acquisitions = latches_.load();
+    stats->helper_pieces = helper_pieces_.load();
   }
 
  private:
@@ -110,6 +116,7 @@ class RecoveryCounters {
   std::atomic<uint64_t> records_{0};
   std::atomic<uint64_t> tuples_{0};
   std::atomic<uint64_t> latches_{0};
+  std::atomic<uint64_t> helper_pieces_{0};
 };
 
 // A commit-order run of log records spanning all loggers' batch files with

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "proc/procedure.h"
 #include "workload/adhoc.h"
 #include "workload/bank.h"
@@ -391,6 +393,193 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(1u, 4u),
                        ::testing::Values(ExecutionBackend::kSimulated,
                                          ExecutionBackend::kThreads)));
+
+// One CLR-P piece-set on real threads: a hand-built command log whose
+// single block interleaves a write -> read -> write chain on one hot key
+// with many independent pieces. Bump(k, d) reads and rewrites key k; Copy
+// (src, dst) reads src and writes dst. Round r bumps the hot key by r + 1,
+// then copies it to key kCopyBase + r, with independent bumps of fresh
+// keys in between, so the conflict DAG is one long chain through key 0
+// plus a wide fan of roots. Every restart must restore the exact values,
+// and helper workers must run some of the independent pieces.
+TEST(ConcurrentReplayTest, HotKeyChainAmongIndependentPieces) {
+  DatabaseOptions opts;
+  opts.scheme = LogScheme::kCommand;
+  // One epoch, one batch: the whole log is a single piece-set.
+  opts.commits_per_epoch = 100000;
+  opts.epochs_per_batch = 1;
+  Database db(opts);
+  storage::Table* acct = db.catalog()->CreateTable(
+      "Acct", Schema({{"balance", ValueType::kDouble, 0}}));
+  proc::ProcedureBuilder bump("Bump", {ValueType::kInt64, ValueType::kDouble});
+  const int own = bump.Read("Acct", proc::P(0));
+  bump.Update("Acct", proc::P(0), own,
+              {{0, proc::Add(proc::F(own, 0), proc::P(1))}});
+  const ProcId bump_id = db.registry()->Register(bump.Build());
+  proc::ProcedureBuilder copy("Copy", {ValueType::kInt64, ValueType::kInt64});
+  const int src = copy.Read("Acct", proc::P(0));
+  const int dst = copy.Read("Acct", proc::P(1));
+  copy.Update("Acct", proc::P(1), dst, {{0, proc::F(src, 0)}});
+  const ProcId copy_id = db.registry()->Register(copy.Build());
+
+  constexpr int64_t kRounds = 60;
+  constexpr int64_t kFanout = 12;  // Independent bumps per round.
+  constexpr int64_t kCopyBase = 100000;
+  auto initial = [](int64_t k) { return static_cast<double>(k % 97); };
+  for (int64_t k = 0; k <= kRounds * kFanout; ++k) {
+    acct->LoadRow(k, {Value(initial(k))}, 1);
+  }
+  for (int64_t r = 0; r < kRounds; ++r) {
+    acct->LoadRow(kCopyBase + r, {Value(-1.0)}, 1);
+  }
+  db.FinalizeSchema();
+  ASSERT_EQ(db.gdg().NumBlocks(), 1u);
+  db.TakeCheckpoint();
+
+  for (int64_t r = 0; r < kRounds; ++r) {
+    const auto d = static_cast<double>(r + 1);
+    ASSERT_TRUE(db.ExecuteProcedure(bump_id, {Value(int64_t{0}), Value(d)})
+                    .ok());
+    for (int64_t t = 0; t < kFanout; ++t) {
+      const int64_t k = 1 + r * kFanout + t;
+      ASSERT_TRUE(
+          db.ExecuteProcedure(bump_id, {Value(k), Value(1.0)}).ok());
+      if (t == kFanout / 2) {
+        ASSERT_TRUE(db.ExecuteProcedure(
+                          copy_id, {Value(int64_t{0}), Value(kCopyBase + r)})
+                        .ok());
+      }
+    }
+  }
+  const uint64_t pre = db.ContentHash();
+
+  auto value_of = [&](Key k) {
+    const Row* row = acct->NewestRow(k);
+    return row == nullptr ? -2.0 : (*row)[0].AsDouble();
+  };
+  uint64_t helper_pieces = 0;
+  for (int rep = 0; rep < 50; ++rep) {
+    db.Crash();
+    RecoveryOptions ropts;
+    ropts.num_threads = 4;
+    FullRecoveryResult r =
+        db.Recover(Scheme::kClrP, ropts, ExecutionBackend::kThreads);
+    ASSERT_EQ(db.ContentHash(), pre) << "restart " << rep;
+    ASSERT_EQ(r.log.records_replayed,
+              static_cast<uint64_t>(kRounds * (kFanout + 2)));
+    helper_pieces += r.log.helper_pieces;
+    double hot = initial(0);
+    for (int64_t round = 0; round < kRounds; ++round) {
+      hot += static_cast<double>(round + 1);
+      ASSERT_EQ(value_of(kCopyBase + round), hot) << "restart " << rep;
+      for (int64_t t = 0; t < kFanout; ++t) {
+        const int64_t k = 1 + round * kFanout + t;
+        ASSERT_EQ(value_of(k), initial(k) + 1.0) << "restart " << rep;
+      }
+    }
+    ASSERT_EQ(value_of(0), hot) << "restart " << rep;
+  }
+  EXPECT_GT(helper_pieces, 0u);
+}
+
+// Real-thread CLR-P on contended workloads: TPC-C with 10% ad-hoc
+// transactions and Smallbank with a hotspot, over shards x mode x
+// threads. Every restart must reproduce the state and the record count
+// of a simulated recovery of the same log. Wherever a lane has more than
+// one thread, helper workers must have run pieces: a silently serial
+// replay fails here.
+enum class ReplayWorkload { kTpccAdhoc, kSmallbankHotspot };
+
+class ConcurrentReplayWorkloadTest
+    : public ::testing::TestWithParam<
+          std::tuple<ReplayWorkload, uint32_t, PacmanMode, uint32_t>> {};
+
+TEST_P(ConcurrentReplayWorkloadTest, ThreadsMatchSimulatedRecovery) {
+  const auto [workload, shards, mode, threads] = GetParam();
+  DatabaseOptions opts;
+  opts.scheme = LogScheme::kCommand;
+  opts.num_shards = shards;
+  opts.commits_per_epoch = 500;
+  opts.epochs_per_batch = 2;
+  Database db(opts);
+  workload::Tpcc tpcc({.num_warehouses = 2,
+                       .districts_per_warehouse = 4,
+                       .customers_per_district = 50,
+                       .num_items = 100,
+                       .orders_per_district = 8});
+  workload::Smallbank sb(
+      {.num_accounts = 2000, .hotspot_fraction = 0.25, .hotspot_size = 20});
+  std::function<ProcId(Rng*, std::vector<Value>*)> next;
+  double adhoc_fraction = 0.0;
+  int txns = 0;
+  if (workload == ReplayWorkload::kTpccAdhoc) {
+    tpcc.CreateTables(db.catalog());
+    tpcc.RegisterProcedures(db.registry());
+    tpcc.Load(db.catalog());
+    next = [&](Rng* rng, std::vector<Value>* p) {
+      return tpcc.NextTransaction(rng, p);
+    };
+    adhoc_fraction = 0.1;
+    txns = 1600;
+  } else {
+    sb.CreateTables(db.catalog());
+    sb.RegisterProcedures(db.registry());
+    sb.Load(db.catalog());
+    next = [&](Rng* rng, std::vector<Value>* p) {
+      return sb.NextTransaction(rng, p);
+    };
+    txns = 4000;
+  }
+  db.FinalizeSchema();
+  db.TakeCheckpoint();
+  Rng rng(77);
+  std::vector<Value> params;
+  for (int i = 0; i < txns; ++i) {
+    const ProcId proc = next(&rng, &params);
+    const bool adhoc = workload::TagAdhoc(&rng, adhoc_fraction);
+    ASSERT_TRUE(db.ExecuteProcedure(proc, params, adhoc).ok());
+  }
+  const uint64_t pre = db.ContentHash();
+
+  RecoveryOptions ropts;
+  ropts.num_threads = threads;
+  ropts.mode = mode;
+  db.Crash();
+  const FullRecoveryResult sim = db.Recover(Scheme::kClrP, ropts);
+  ASSERT_EQ(db.ContentHash(), pre);
+  ASSERT_GT(sim.log.records_replayed, 0u);
+  EXPECT_EQ(sim.log.helper_pieces, 0u);
+  // Whether a helper gets to run a piece is up to the scheduler: a lane
+  // thread can still be starting, or parked on the next batch's load
+  // gate, while another drains a whole piece-set. So restart until one
+  // recovery had help, checking every restart; a replay that never hands
+  // pieces to a second worker fails all of them.
+  const bool can_help = threads / shards > 1;
+  uint64_t helper_pieces = 0;
+  for (int restart = 0; restart < 10; ++restart) {
+    db.Crash();
+    const FullRecoveryResult real =
+        db.Recover(Scheme::kClrP, ropts, ExecutionBackend::kThreads);
+    ASSERT_EQ(db.ContentHash(), pre) << "restart " << restart;
+    ASSERT_EQ(real.log.records_replayed, sim.log.records_replayed);
+    helper_pieces = real.log.helper_pieces;
+    if (!can_help || helper_pieces > 0) break;
+  }
+  if (can_help) {
+    EXPECT_GT(helper_pieces, 0u);
+  } else {
+    EXPECT_EQ(helper_pieces, 0u);  // One worker per piece-set.
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ConcurrentReplay, ConcurrentReplayWorkloadTest,
+    ::testing::Combine(::testing::Values(ReplayWorkload::kTpccAdhoc,
+                                         ReplayWorkload::kSmallbankHotspot),
+                       ::testing::Values(1u, 4u),
+                       ::testing::Values(PacmanMode::kSynchronous,
+                                         PacmanMode::kPipelined),
+                       ::testing::Values(2u, 4u, 8u)));
 
 TEST(ReloadOnlyTest, ReloadSkipsReplay) {
   DatabaseOptions opts;
