@@ -1,16 +1,15 @@
 // Engine micro-benchmarks.
 //
-// Default run: the compiled-vs-interpreted engine comparison — bank
-// transactions executed single-threaded through the full engine (forward
-// processing) and re-executed through CLR command-log replay, once with
-// DatabaseOptions::compiled_procedures=false (tree interpreter) and once
-// with the register-bytecode VM. `--json PATH` records the four rows in
-// the BENCH_micro_engine.json format; `--txns N` sizes the run.
+// Default run: the procedure-engine rows — bank transactions executed
+// single-threaded through the register-bytecode VM over a storage stub
+// (logic only) and over replay access (execution only), through the full
+// engine (forward processing) and re-executed through CLR command-log
+// replay. `--json PATH` records the four rows in the
+// BENCH_micro_engine.json format; `--txns N` sizes the run.
 //
 // `--gbench` (or any --benchmark_* flag) additionally runs the
 // google-benchmark micros: index operations, value hashing, log-record
-// serialization, expression evaluation, commits and multi-worker
-// forward-processing throughput.
+// serialization, commits and multi-worker forward-processing throughput.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -21,7 +20,6 @@
 #include "logging/log_record.h"
 #include "pacman/database.h"
 #include "proc/exec_arena.h"
-#include "proc/expr.h"
 #include "storage/bplus_tree.h"
 #include "storage/catalog.h"
 #include "storage/hash_index.h"
@@ -89,17 +87,6 @@ void BM_SerializeLogicalRecord(benchmark::State& state) {
 }
 BENCHMARK(BM_SerializeLogicalRecord);
 
-void BM_ExprEval(benchmark::State& state) {
-  using namespace proc;
-  std::vector<Value> params = {Value(int64_t{3}), Value(2.0)};
-  std::vector<Row> locals = {{Value(5.0)}};
-  std::vector<uint8_t> present = {1};
-  EvalContext ctx{&params, &locals, &present};
-  ExprPtr e = Mul(Add(F(0, 0), P(1)), Sub(C(10.0), P(1)));
-  for (auto _ : state) benchmark::DoNotOptimize(e->Eval(ctx));
-}
-BENCHMARK(BM_ExprEval);
-
 void BM_TxnCommitSingleWrite(benchmark::State& state) {
   storage::Catalog catalog;
   storage::Table* t =
@@ -162,17 +149,16 @@ BENCHMARK(BM_ForwardProcessingBank)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
-// --- Compiled vs interpreted engine comparison ------------------------------
-// The same bank workload, once per engine: forward processing (full OCC +
-// command logging path) and CLR command-log replay (nearly pure procedure
-// re-execution, so the engine difference shows undiluted). CLR replay runs
-// on the kThreads backend for honest wall-clock seconds.
+// --- Procedure engine rows --------------------------------------------------
+// The bank workload through the VM: forward processing (full OCC + command
+// logging path) and CLR command-log replay (nearly pure procedure
+// re-execution). CLR replay runs on the kThreads backend for honest
+// wall-clock seconds.
 
-bench::Env MakeBankEnv(bool compiled) {
+bench::Env MakeBankEnv() {
   bench::Env env;
-  env.name = compiled ? "compiled" : "interpreter";
+  env.name = "compiled";
   DatabaseOptions opts = bench::DefaultDbOptions(logging::LogScheme::kCommand);
-  opts.compiled_procedures = compiled;
   env.db = std::make_unique<Database>(opts);
   ExitIfUnrecoveredState(env.db.get());
   auto bank = std::make_shared<workload::Bank>(workload::BankConfig{
@@ -185,18 +171,11 @@ bench::Env MakeBankEnv(bool compiled) {
   return env;
 }
 
-struct EngineRow {
-  double logic_tps = 0.0;
-  double exec_tps = 0.0;
-  double forward_tps = 0.0;
-  double replay_tps = 0.0;
-};
-
 // Storage-stubbed access context: every read returns a fixed one-column
 // row, writes are dropped. Takes the storage engine (index descent,
-// version install) out of the measurement so the two procedure-execution
-// engines face off directly: expression/bytecode evaluation, per-txn
-// state management and row building.
+// version install) out of the measurement so only the VM's own work
+// remains: bytecode evaluation, per-txn state management and row
+// building.
 class StubAccess : public proc::AccessContext {
  public:
   Status Read(TableId, Key, Row* out) override {
@@ -215,7 +194,7 @@ class StubAccess : public proc::AccessContext {
 // Times `run_one` over the request stream, best of `kRepeats` passes (the
 // first doubles as warmup). Best-of is the standard microbenchmark
 // estimator: it discards scheduler noise, which on a shared host dwarfs
-// the engine delta being measured.
+// small per-transaction costs.
 constexpr int kRepeats = 5;
 
 template <typename Fn>
@@ -235,30 +214,23 @@ double BestOfRuns(
 }
 
 double LogicOnlyTps(
-    bench::Env* env, bool use_vm,
+    bench::Env* env,
     const std::vector<std::pair<ProcId, std::vector<Value>>>& reqs) {
   StubAccess access;
   proc::ExecArena arena;
   auto run_one = [&](const std::pair<ProcId, std::vector<Value>>& req) {
-    if (use_vm) {
-      proc::VmState vm =
-          arena.Bind(env->db->programs().Get(req.first), &req.second);
-      PACMAN_CHECK(proc::VmExecuteAll(&vm, &access).ok());
-    } else {
-      proc::ProcState state(&env->db->registry()->Get(req.first),
-                            &req.second);
-      PACMAN_CHECK(proc::ExecuteAll(&state, &access).ok());
-    }
+    proc::VmState vm =
+        arena.Bind(env->db->programs().Get(req.first), &req.second);
+    PACMAN_CHECK(proc::VmExecuteAll(&vm, &access).ok());
   };
   return BestOfRuns(reqs, run_one);
 }
 
 // Pure procedure execution: the pre-generated request stream re-executed
 // through ReplayAccess (unlatched installs, no OCC/logging/commit), which
-// is exactly the CLR replay inner loop — the undiluted engine number the
-// >=2x compiled-vs-interpreted criterion is pinned on.
+// is exactly the CLR replay inner loop.
 double ExecOnlyTps(
-    bench::Env* env, bool use_vm,
+    bench::Env* env,
     const std::vector<std::pair<ProcId, std::vector<Value>>>& reqs) {
   proc::ReplayAccess access(env->db->catalog(),
                             proc::InstallMode::kUnlatched);
@@ -266,23 +238,20 @@ double ExecOnlyTps(
   Timestamp ts = 0;
   auto run_one = [&](const std::pair<ProcId, std::vector<Value>>& req) {
     access.set_commit_ts(++ts);
-    if (use_vm) {
-      proc::VmState vm =
-          arena.Bind(env->db->programs().Get(req.first), &req.second);
-      PACMAN_CHECK(proc::VmExecuteAll(&vm, &access).ok());
-    } else {
-      proc::ProcState state(&env->db->registry()->Get(req.first),
-                            &req.second);
-      PACMAN_CHECK(proc::ExecuteAll(&state, &access).ok());
-    }
+    proc::VmState vm =
+        arena.Bind(env->db->programs().Get(req.first), &req.second);
+    PACMAN_CHECK(proc::VmExecuteAll(&vm, &access).ok());
   };
   return BestOfRuns(reqs, run_one);
 }
 
-EngineRow RunEngine(bool compiled, int txns, uint64_t seed) {
-  bench::Env env = MakeBankEnv(compiled);
+void RunEngineRows(const CommonFlags& flags) {
+  bench::PrintTitle("Procedure engine: bytecode VM (bank, 1 thread)");
+  const int txns = flags.txns;
+  const uint64_t seed = flags.seed;
+  bench::Env env = MakeBankEnv();
 
-  // Request stream shared shape-for-shape by both engines.
+  // Pre-generated request stream.
   std::vector<std::pair<ProcId, std::vector<Value>>> reqs;
   reqs.reserve(static_cast<size_t>(txns));
   Rng rng(seed);
@@ -291,12 +260,11 @@ EngineRow RunEngine(bool compiled, int txns, uint64_t seed) {
     ProcId pid = env.next_txn(&rng, &params);
     reqs.emplace_back(pid, params);
   }
-  // Pure execution needs compiled programs even on the interpreter row, so
-  // measure it against a compiled env either way (engine choice is the
-  // use_vm flag, not the env option).
-  bench::Env exec_env = MakeBankEnv(/*compiled=*/true);
-  const double logic_tps = LogicOnlyTps(&exec_env, compiled, reqs);
-  const double exec_tps = ExecOnlyTps(&exec_env, compiled, reqs);
+  // Logic and execution rows run on their own database, so their replay
+  // installs do not change the state forward processing starts from.
+  bench::Env exec_env = MakeBankEnv();
+  const double logic_tps = LogicOnlyTps(&exec_env, reqs);
+  const double exec_tps = ExecOnlyTps(&exec_env, reqs);
 
   DriverResult fwd = bench::RunWorkloadThreaded(&env, txns, 1, 0.0, seed);
   const uint64_t hash = env.db->ContentHash();
@@ -308,44 +276,25 @@ EngineRow RunEngine(bool compiled, int txns, uint64_t seed) {
                                            ExecutionBackend::kThreads);
   PACMAN_CHECK(env.db->ContentHash() == hash);
 
-  EngineRow row;
-  row.logic_tps = logic_tps;
-  row.exec_tps = exec_tps;
-  row.forward_tps = fwd.TxnsPerSecond();
-  row.replay_tps =
+  const double forward_tps = fwd.TxnsPerSecond();
+  const double replay_tps =
       static_cast<double>(rec.log.records_replayed) / rec.log.seconds;
-  const char* name = compiled ? "compiled" : "interpreter";
+  const char* name = env.name.c_str();
   std::printf(
       "%-12s logic %9.0f txn/s   exec %9.0f txn/s   forward %8.0f txn/s "
       "(%.3fs)   clr-replay %8.0f txn/s (%.3fs)\n",
-      name, row.logic_tps, row.exec_tps, row.forward_tps, fwd.wall_seconds,
-      row.replay_tps, rec.log.seconds);
+      name, logic_tps, exec_tps, forward_tps, fwd.wall_seconds, replay_tps,
+      rec.log.seconds);
   bench::RecordJson({"micro_exec_logic", name, 1,
-                     static_cast<uint64_t>(txns), row.logic_tps, 0.0, 0.0,
-                     0.0, static_cast<double>(txns) / row.logic_tps});
+                     static_cast<uint64_t>(txns), logic_tps, 0.0, 0.0, 0.0,
+                     static_cast<double>(txns) / logic_tps});
   bench::RecordJson({"micro_exec_only", name, 1,
-                     static_cast<uint64_t>(txns), row.exec_tps, 0.0, 0.0,
-                     0.0, static_cast<double>(txns) / row.exec_tps});
-  bench::RecordJson({"micro_forward", name, 1, fwd.committed,
-                     row.forward_tps, 0.0, 0.0, 0.0, fwd.wall_seconds});
+                     static_cast<uint64_t>(txns), exec_tps, 0.0, 0.0, 0.0,
+                     static_cast<double>(txns) / exec_tps});
+  bench::RecordJson({"micro_forward", name, 1, fwd.committed, forward_tps,
+                     0.0, 0.0, 0.0, fwd.wall_seconds});
   bench::RecordJson({"micro_clr_replay", name, 1, rec.log.records_replayed,
-                     row.replay_tps, 0.0, 0.0, 0.0, rec.log.seconds});
-  return row;
-}
-
-void RunEngineComparison(const CommonFlags& flags) {
-  bench::PrintTitle(
-      "Engine comparison: bytecode VM vs expression-tree interpreter (bank, "
-      "1 thread)");
-  EngineRow interp = RunEngine(/*compiled=*/false, flags.txns, flags.seed);
-  EngineRow compiled = RunEngine(/*compiled=*/true, flags.txns, flags.seed);
-  bench::PrintRule();
-  std::printf(
-      "speedup: logic %.2fx, exec %.2fx, forward %.2fx, clr-replay %.2fx\n",
-      compiled.logic_tps / interp.logic_tps,
-      compiled.exec_tps / interp.exec_tps,
-      compiled.forward_tps / interp.forward_tps,
-      compiled.replay_tps / interp.replay_tps);
+                     replay_tps, 0.0, 0.0, 0.0, rec.log.seconds});
 }
 
 }  // namespace
@@ -355,7 +304,7 @@ void RunEngineComparison(const CommonFlags& flags) {
 // recognize, so main splits argv: --benchmark_* goes to
 // benchmark::Initialize, everything else to ParseCommonFlags. The micros
 // only run when requested (--gbench or any --benchmark_* flag); the
-// default run is the deterministic engine comparison CI smokes.
+// default run is the engine rows CI smokes.
 int main(int argc, char** argv) {
   std::vector<char*> common{argv[0]};
   std::vector<char*> gbench{argv[0]};
@@ -379,7 +328,7 @@ int main(int argc, char** argv) {
       pacman::ParseCommonFlags(cargc, common.data(), defaults);
   pacman::bench::SetDeviceFlags(flags);
 
-  pacman::RunEngineComparison(flags);
+  pacman::RunEngineRows(flags);
   pacman::bench::WriteJsonReport(flags.json, "micro_engine");
 
   if (run_gbench) {

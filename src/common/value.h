@@ -162,8 +162,8 @@ class Value {
   bool borrowed_ = false;
   // Discriminated by type_: numbers use i_/d_, strings use sv_ (which
   // views s_ when owned). The union keeps Value at its pre-borrowing
-  // size — rows flow through the interpreter and the install paths by
-  // value, so Value's footprint is engine-wide hot.
+  // size — rows flow through the VM and the install paths by value, so
+  // Value's footprint is engine-wide hot.
   union {
     int64_t i_;
     double d_;

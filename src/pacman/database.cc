@@ -205,14 +205,12 @@ void Database::FinalizeSchema() {
     ldgs_.push_back(analysis::BuildLocalGraph(def));
   }
   gdg_ = analysis::BuildGlobalGraph(ldgs_, registry_.procedures());
-  if (options_.compiled_procedures) {
-    // Compile every procedure to register bytecode, folding the static
-    // analysis (slice and chopping piece boundaries, read/write
-    // footprints) into each program's summary.
-    std::vector<analysis::LocalDependencyGraph> chopping =
-        analysis::BuildChoppingGraphs(registry_.procedures());
-    programs_.Build(registry_, &catalog_, ldgs_, chopping);
-  }
+  // Compile every procedure to register bytecode, folding the static
+  // analysis (slice and chopping piece boundaries, read/write footprints)
+  // into each program's summary.
+  std::vector<analysis::LocalDependencyGraph> chopping =
+      analysis::BuildChoppingGraphs(registry_.procedures());
+  programs_.Build(registry_, &catalog_, ldgs_, chopping);
   schema_finalized_ = true;
 }
 
@@ -258,15 +256,10 @@ TxnResult Database::Execute(ProcId proc, const std::vector<Value>& params,
                             const ExecOptions& opts) {
   PACMAN_CHECK(!crashed());
   PACMAN_CHECK_MSG(proc < registry_.size(), "unknown procedure id");
-  const proc::ProcedureDef& def = registry_.Get(proc);
-  const proc::CompiledProgram* prog = nullptr;
-  if (options_.compiled_procedures) {
-    PACMAN_CHECK_MSG(
-        programs_.compiled() && proc < programs_.size(),
-        "compiled_procedures requires FinalizeSchema() after registering "
-        "every procedure and before Execute");
-    prog = &programs_.Get(proc);
-  }
+  PACMAN_CHECK_MSG(proc < programs_.size(),
+                   "Execute requires FinalizeSchema() after registering "
+                   "every procedure");
+  const proc::CompiledProgram& prog = programs_.Get(proc);
   // Per-worker arena: registers, locals and row scratch recycled across
   // transactions (zero steady-state allocation).
   thread_local proc::ExecArena arena;
@@ -277,21 +270,13 @@ TxnResult Database::Execute(ProcId proc, const std::vector<Value>& params,
     result.attempts++;
     txn::Transaction t = txn_manager_.Begin();
     proc::TxnAccess access(&catalog_, &t);
-    proc::VmState vm;
-    proc::ProcState state;
-    Status s;
-    if (prog != nullptr) {
-      t.ReserveFootprint(prog->summary.num_reads, prog->summary.num_writes);
-      if (!prog->summary.writes_may_alias) t.MarkWritesDistinct();
-      // Compile-time shard classification (sharded engines): lets the
-      // commit hook route without scanning the access sets.
-      if (prog->summary.single_shard_static) t.set_static_single_shard(true);
-      vm = arena.Bind(*prog, &params);
-      s = proc::VmExecuteAll(&vm, &access);
-    } else {
-      state = proc::ProcState(&def, &params);
-      s = proc::ExecuteAll(&state, &access);
-    }
+    t.ReserveFootprint(prog.summary.num_reads, prog.summary.num_writes);
+    if (!prog.summary.writes_may_alias) t.MarkWritesDistinct();
+    // Compile-time shard classification (sharded engines): lets the
+    // commit hook route without scanning the access sets.
+    if (prog.summary.single_shard_static) t.set_static_single_shard(true);
+    proc::VmState vm = arena.Bind(prog, &params);
+    Status s = proc::VmExecuteAll(&vm, &access);
     if (!s.ok()) {
       result.status = s;
       return result;
@@ -315,10 +300,7 @@ TxnResult Database::Execute(ProcId proc, const std::vector<Value>& params,
       // The Emit() outputs of the committed attempt: evaluated from the
       // attempt's validated snapshot reads, so they are exactly the values
       // the committed serial order produced.
-      if (!def.results.empty()) {
-        result.values = prog != nullptr ? proc::VmEvalResults(&vm)
-                                        : proc::EvalResults(state);
-      }
+      if (!prog.results.empty()) result.values = proc::VmEvalResults(&vm);
       const uint64_t commits =
           num_commits_.fetch_add(1, std::memory_order_relaxed) + 1;
       if (options_.commits_per_epoch != 0 &&
@@ -622,9 +604,8 @@ FullRecoveryResult Database::Recover(recovery::Scheme scheme,
                                       gates_ptr);
         break;
       case recovery::Scheme::kClr:
-        recovery::BuildClrReplay(batches, devices, &catalog_, &registry_,
-                                 lane_opts, &graph, &counters, gates_ptr,
-                                 &programs_);
+        recovery::BuildClrReplay(batches, devices, &catalog_, programs_,
+                                 lane_opts, &graph, &counters, gates_ptr);
         break;
       case recovery::Scheme::kClrP: {
         const analysis::GlobalDependencyGraph* gdg =
@@ -641,8 +622,8 @@ FullRecoveryResult Database::Recover(recovery::Scheme scheme,
           layout_ptr = &layout;
         }
         recovery::BuildClrPReplay(*gdg, batches, devices, &catalog_,
-                                  &registry_, lane_opts, layout_ptr, &graph,
-                                  &counters, gates_ptr, &programs_);
+                                  &registry_, programs_, lane_opts,
+                                  layout_ptr, &graph, &counters, gates_ptr);
         break;
       }
     }

@@ -45,7 +45,7 @@
 #include "logging/log_manager.h"
 #include "maintenance/checkpoint_service.h"
 #include "proc/compiler.h"
-#include "proc/interpreter.h"
+#include "proc/access_context.h"
 #include "proc/registry.h"
 #include "pacman/session.h"
 #include "pacman/txn_result.h"
@@ -90,11 +90,6 @@ struct DatabaseOptions {
   // caller drives epochs via AdvanceEpoch().
   uint32_t commits_per_epoch = 200;
   uint32_t ckpt_files_per_ssd = 8;
-  // Execute procedures through the register-bytecode VM compiled at
-  // FinalizeSchema() time (proc/compiler.h). Off = the expression-tree
-  // interpreter, kept as the parity oracle (tests/bytecode_test.cc pins
-  // the two bit-identical).
-  bool compiled_procedures = true;
   // --- Continuous maintenance (maintenance/checkpoint_service.h) --------
   // Background checkpoint triggers: wall-time interval and/or logged
   // bytes since the last checkpoint. Either one > 0 enables the service,
@@ -234,7 +229,7 @@ class Database {
   const std::vector<analysis::LocalDependencyGraph>& ldgs() const {
     return ldgs_;
   }
-  // Compiled programs (built by FinalizeSchema when compiled_procedures).
+  // Compiled programs, one per procedure (built by FinalizeSchema).
   const proc::ProgramSet& programs() const { return programs_; }
   // Transaction-chopping GDG over the same procedures (Fig. 18 baseline).
   analysis::GlobalDependencyGraph BuildChoppingGdg() const;

@@ -245,7 +245,7 @@ bool VmTryExtractAccessSet(const std::vector<OpIndex>& op_indices,
     // An unresolvable guard conservatively includes the op's key (the op
     // may or may not execute but can only touch that key) — but the key
     // itself must be computable now, else the caller falls back to
-    // conservative ordering (footnote 4), exactly as TryExtractAccessSet.
+    // conservative ordering (footnote 4).
     if (!AllPresent(*state, op.key_field_locals)) return false;
     Status s = RunRange(state, nullptr, op.key_begin, op.key_end);
     PACMAN_DCHECK(s.ok());

@@ -235,9 +235,9 @@ class Compiler {
   // once, with a single jump over the whole group. That is safe because
   // locals are single-assignment and a guard can only reference locals
   // defined before its region, so nothing inside the group can change the
-  // guard's value. The interpreter (and piece-level VmExecuteOps, whose
-  // per-op ranges keep their own guard) re-evaluates per op; the value is
-  // identical, so results stay bit-equal.
+  // guard's value. Piece-level VmExecuteOps, whose per-op ranges keep
+  // their own guard, re-evaluates it per op; the value is identical, so
+  // results stay bit-equal.
   void CompileBody() {
     const ProcedureDef& def = *prog_.def;
     prog_.body_begin = static_cast<uint32_t>(prog_.code.size());
@@ -271,9 +271,8 @@ class Compiler {
     prog_.body_end = static_cast<uint32_t>(prog_.code.size());
   }
 
-  // Mirrors the interpreter's BuildRow: a full-row spec builds from
-  // scratch; otherwise start from the base local (when present) and apply
-  // the column updates.
+  // A full-row spec builds from scratch; otherwise start from the base
+  // local (when present) and apply the column updates.
   void CompileRowBuild(const Operation& op) {
     if (!op.full_row.empty()) {
       EmitInstr(BcOp::kBeginRow, 0, kNoBaseLocal, 0);

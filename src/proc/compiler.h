@@ -50,7 +50,6 @@ class ProgramSet {
              const std::vector<analysis::LocalDependencyGraph>& ldgs,
              const std::vector<analysis::LocalDependencyGraph>& chopping);
 
-  bool compiled() const { return !programs_.empty(); }
   size_t size() const { return programs_.size(); }
 
   const CompiledProgram& Get(ProcId id) const {

@@ -16,8 +16,7 @@
 // in a per-transaction VmTxnLocals instead, and BindShared() marries them
 // to the calling thread's private registers and scratch. They hold no row
 // copies: replay reads lend immutable version rows (ReplayAccess), which
-// outlive the replay. This mirrors the interpreter: ProcState is
-// per-transaction, expression temporaries are per-evaluation.
+// outlive the replay.
 #ifndef PACMAN_PROC_EXEC_ARENA_H_
 #define PACMAN_PROC_EXEC_ARENA_H_
 

@@ -74,105 +74,6 @@ int CompareValues(const Value& a, const Value& b) {
   return 0;
 }
 
-Value Expr::Eval(const EvalContext& ctx) const {
-  switch (kind_) {
-    case ExprKind::kConstant:
-      return constant_;
-    case ExprKind::kParam:
-      PACMAN_DCHECK(ctx.params != nullptr &&
-                    index_ < static_cast<int>(ctx.params->size()));
-      return (*ctx.params)[index_];
-    case ExprKind::kField: {
-      if (ctx.local_present == nullptr ||
-          index_ >= static_cast<int>(ctx.local_present->size()) ||
-          !(*ctx.local_present)[index_]) {
-        return Value::Null();
-      }
-      const Row& row = (*ctx.locals)[index_];
-      if (column_ >= static_cast<int>(row.size())) return Value::Null();
-      return row[column_];
-    }
-    case ExprKind::kLocalExists: {
-      bool present = ctx.local_present != nullptr &&
-                     index_ < static_cast<int>(ctx.local_present->size()) &&
-                     (*ctx.local_present)[index_];
-      return Value(static_cast<int64_t>(present ? 1 : 0));
-    }
-    case ExprKind::kAdd:
-      return children_[0]->Eval(ctx).Add(children_[1]->Eval(ctx));
-    case ExprKind::kSub:
-      return children_[0]->Eval(ctx).Sub(children_[1]->Eval(ctx));
-    case ExprKind::kMul:
-      return children_[0]->Eval(ctx).Mul(children_[1]->Eval(ctx));
-    case ExprKind::kEq:
-      return Value(static_cast<int64_t>(
-          children_[0]->Eval(ctx) == children_[1]->Eval(ctx) ? 1 : 0));
-    case ExprKind::kNe:
-      return Value(static_cast<int64_t>(
-          children_[0]->Eval(ctx) != children_[1]->Eval(ctx) ? 1 : 0));
-    case ExprKind::kLt:
-      return Value(static_cast<int64_t>(
-          CompareValues(children_[0]->Eval(ctx), children_[1]->Eval(ctx)) < 0
-              ? 1
-              : 0));
-    case ExprKind::kLe:
-      return Value(static_cast<int64_t>(
-          CompareValues(children_[0]->Eval(ctx), children_[1]->Eval(ctx)) <= 0
-              ? 1
-              : 0));
-    case ExprKind::kGt:
-      return Value(static_cast<int64_t>(
-          CompareValues(children_[0]->Eval(ctx), children_[1]->Eval(ctx)) > 0
-              ? 1
-              : 0));
-    case ExprKind::kGe:
-      return Value(static_cast<int64_t>(
-          CompareValues(children_[0]->Eval(ctx), children_[1]->Eval(ctx)) >= 0
-              ? 1
-              : 0));
-    case ExprKind::kAnd:
-      return Value(static_cast<int64_t>(ValueTruthy(children_[0]->Eval(ctx)) &&
-                                                ValueTruthy(children_[1]->Eval(ctx))
-                                            ? 1
-                                            : 0));
-    case ExprKind::kOr:
-      return Value(static_cast<int64_t>(ValueTruthy(children_[0]->Eval(ctx)) ||
-                                                ValueTruthy(children_[1]->Eval(ctx))
-                                            ? 1
-                                            : 0));
-    case ExprKind::kNot:
-      return Value(
-          static_cast<int64_t>(ValueTruthy(children_[0]->Eval(ctx)) ? 0 : 1));
-    case ExprKind::kMod: {
-      int64_t a = children_[0]->Eval(ctx).AsInt64();
-      int64_t m = children_[1]->Eval(ctx).AsInt64();
-      PACMAN_DCHECK(m > 0);
-      return Value(((a % m) + m) % m);
-    }
-    case ExprKind::kPack: {
-      uint64_t key = 0;
-      for (size_t i = 0; i < children_.size(); ++i) {
-        Value v = children_[i]->Eval(ctx);
-        int64_t part = v.is_null() ? 0 : v.AsInt64();
-        PACMAN_DCHECK(part >= 0);
-        key = (key << pack_bits_[i]) | static_cast<uint64_t>(part);
-      }
-      return Value(static_cast<int64_t>(key));
-    }
-  }
-  return Value::Null();
-}
-
-bool Expr::EvalBool(const EvalContext& ctx) const {
-  return ValueTruthy(Eval(ctx));
-}
-
-Key Expr::EvalKey(const EvalContext& ctx) const {
-  Value v = Eval(ctx);
-  PACMAN_DCHECK(!v.is_null());
-  return static_cast<Key>(v.AsInt64());
-}
-
 void Expr::CollectRefs(std::vector<int>* params,
                        std::vector<int>* locals) const {
   switch (kind_) {
@@ -187,23 +88,6 @@ void Expr::CollectRefs(std::vector<int>* params,
       break;
   }
   for (const ExprPtr& c : children_) c->CollectRefs(params, locals);
-}
-
-bool Expr::Resolvable(const EvalContext& ctx) const {
-  if (kind_ == ExprKind::kField || kind_ == ExprKind::kLocalExists) {
-    if (ctx.local_present == nullptr ||
-        index_ >= static_cast<int>(ctx.local_present->size()) ||
-        !(*ctx.local_present)[index_]) {
-      // An absent local is still "resolved" for kLocalExists (it evaluates
-      // to false); for kField the value would be Null, which is not a
-      // usable key.
-      return kind_ == ExprKind::kLocalExists;
-    }
-  }
-  for (const ExprPtr& c : children_) {
-    if (!c->Resolvable(ctx)) return false;
-  }
-  return true;
 }
 
 std::string Expr::ToString() const {

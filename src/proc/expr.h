@@ -6,7 +6,8 @@
 // values returned by earlier reads (§3). Expressions make those data flows
 // explicit, which is what both the static analysis (define-use relations,
 // §4.1.1) and the dynamic analysis (runtime key-space extraction, §4.3.1)
-// consume.
+// consume. Nothing evaluates the trees directly: the compiler
+// (proc/compiler.h) lowers them to bytecode once per procedure.
 #ifndef PACMAN_PROC_EXPR_H_
 #define PACMAN_PROC_EXPR_H_
 
@@ -22,30 +23,17 @@ namespace pacman::proc {
 class Expr;
 using ExprPtr = std::shared_ptr<const Expr>;
 
-// Truthiness and ordering semantics shared by the tree interpreter and the
-// bytecode VM (proc/bytecode.h). Keeping one definition is what makes the
-// compiled path bit-identical to the interpreted one: Null and empty
-// strings are falsy, comparisons are numeric unless both sides are
-// strings.
+// Truthiness and ordering semantics of the bytecode VM (proc/bytecode.h):
+// Null and empty strings are falsy, comparisons are numeric unless both
+// sides are strings.
 bool ValueTruthy(const Value& v);
 int CompareValues(const Value& a, const Value& b);
-
-// Evaluation inputs: procedure parameters plus the local rows produced by
-// earlier read operations. `local_present[i]` is false if the defining
-// read missed (the row did not exist) or has not executed yet.
-struct EvalContext {
-  const std::vector<Value>* params = nullptr;
-  const std::vector<Row>* locals = nullptr;
-  // uint8_t (not vector<bool>): distinct locals may be written by pieces of
-  // the same transaction running on different recovery threads.
-  const std::vector<uint8_t>* local_present = nullptr;
-};
 
 enum class ExprKind : uint8_t {
   kConstant,
   kParam,      // params[index]
-  kField,      // locals[index][column]
-  kLocalExists,  // local_present[index] as 0/1
+  kField,      // locals[index][column]; Null when the local is absent.
+  kLocalExists,  // 1 if locals[index] is present (its read hit), else 0.
   kAdd,
   kSub,
   kMul,
@@ -82,21 +70,9 @@ class Expr {
   const std::vector<ExprPtr>& children() const { return children_; }
   const std::vector<int>& pack_bits() const { return pack_bits_; }
 
-  // Evaluates to a Value. Field access on an absent local yields Null.
-  Value Eval(const EvalContext& ctx) const;
-  // Evaluates as a boolean (non-zero integer / non-null).
-  bool EvalBool(const EvalContext& ctx) const;
-  // Evaluates as a 64-bit key.
-  Key EvalKey(const EvalContext& ctx) const;
-
   // Appends the indices of all referenced params / locals (with
   // duplicates; callers dedupe).
   void CollectRefs(std::vector<int>* params, std::vector<int>* locals) const;
-
-  // True if every local this expression references is present in `ctx`
-  // (i.e., the expression can be evaluated now). Parameters are always
-  // available.
-  bool Resolvable(const EvalContext& ctx) const;
 
   std::string ToString() const;
 

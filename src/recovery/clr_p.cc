@@ -15,8 +15,8 @@
 #include <utility>
 
 #include "common/macros.h"
+#include "proc/access_context.h"
 #include "proc/exec_arena.h"
-#include "proc/interpreter.h"
 
 namespace pacman::recovery {
 
@@ -86,8 +86,8 @@ class LastTouchMap {
   size_t size_ = 0;
 };
 
-// This replay thread's private registers and scratch (compiled path); the
-// per-transaction local views live in TxnReplay::vm_locals.
+// This replay thread's private registers and scratch; the per-transaction
+// local views live in TxnReplay::vm_locals.
 proc::ExecArena& ThreadArena() {
   thread_local proc::ExecArena arena;
   return arena;
@@ -127,8 +127,7 @@ struct ReplayContext {
   const analysis::GlobalDependencyGraph* gdg = nullptr;
   std::vector<BlockId> table_block;  // BuildTableBlockMap.
   storage::Catalog* catalog = nullptr;
-  const proc::ProcedureRegistry* registry = nullptr;
-  const proc::ProgramSet* programs = nullptr;  // Null: interpreter path.
+  const proc::ProgramSet* programs = nullptr;
   RecoveryCounters* counters = nullptr;
   CostModel cm;
   PacmanMode mode = PacmanMode::kPipelined;
@@ -139,11 +138,10 @@ struct ReplayContext {
 // Replay state of one logged transaction within a batch.
 struct TxnReplay {
   const logging::LogRecord* rec = nullptr;
-  proc::ProcState state;  // Procedural transactions, interpreter path.
-  // Compiled path: the local views shared by all pieces of the transaction
-  // (different threads may run them) — pointers to the immutable version
-  // rows the reads returned, no copies; registers and scratch are bound
-  // from each replay thread's own arena at piece execution time.
+  // The local views shared by all pieces of the transaction (different
+  // threads may run them) — pointers to the immutable version rows the
+  // reads returned, no copies; registers and scratch are bound from each
+  // replay thread's own arena at piece execution time.
   proc::VmTxnLocals vm_locals;
 };
 
@@ -181,11 +179,7 @@ void PrepareBatch(const ReplayContext& ctx, const GlobalBatch& batch,
       }
       continue;
     }
-    if (ctx.programs != nullptr) {
-      txn.vm_locals.Reset(ctx.programs->Get(rec->proc).num_locals);
-    } else {
-      txn.state = proc::ProcState(&ctx.registry->Get(rec->proc), &rec->params);
-    }
+    txn.vm_locals.Reset(ctx.programs->Get(rec->proc).num_locals);
     for (const analysis::ProcPiece& p : ctx.gdg->proc_pieces[rec->proc]) {
       bs->block_pieces[p.block].push_back({&txn, &p.ops});
     }
@@ -250,7 +244,15 @@ class PieceSet {
         ran > 0 ? remaining_.fetch_sub(ran, std::memory_order_acq_rel) == ran
                 : empty;
     if (last) makespan_.store(Finish(), std::memory_order_release);
-    return std::max(0.0, makespan_.load(std::memory_order_acquire));
+    const double makespan = makespan_.load(std::memory_order_acquire);
+    // Every worker task calls Work() once. The last one to leave frees the
+    // drain state: no other worker is left in its take loop to read it.
+    if (exited_.fetch_add(1, std::memory_order_acq_rel) + 1 == cores_) {
+      succ_heads_ = std::vector<std::atomic<Edge*>>();
+      waiting_ = std::vector<std::atomic<uint32_t>>();
+      ready_ = {};
+    }
+    return std::max(0.0, makespan);
   }
 
  private:
@@ -310,12 +312,10 @@ class PieceSet {
               access_set.emplace_back(img.table, img.key);
             }
           }
-        } else if (ctx_->programs != nullptr) {
+        } else {
           proc::VmState vm = ThreadArena().BindShared(
               ctx_->programs->Get(rec->proc), &rec->params, &txn.vm_locals);
           resolved = proc::VmTryExtractAccessSet(*ops, &vm, &access_set);
-        } else {
-          resolved = proc::TryExtractAccessSet(*ops, txn.state, &access_set);
         }
         if (barrier != kNoPiece) preds_.push_back(barrier);
         if (resolved) {
@@ -451,13 +451,10 @@ class PieceSet {
           access->Write(img.table, img.key, img.after, img.deleted, false);
         }
       }
-    } else if (ctx_->programs != nullptr) {
+    } else {
       proc::VmState vm = ThreadArena().BindShared(
           ctx_->programs->Get(rec->proc), &rec->params, &txn.vm_locals);
       Status s = proc::VmExecuteOps(*piece.ops, &vm, access);
-      PACMAN_CHECK(s.ok());
-    } else {
-      Status s = proc::ExecuteOps(*piece.ops, &txn.state, access);
       PACMAN_CHECK(s.ok());
     }
     const CostModel& cm = ctx_->cm;
@@ -528,7 +525,8 @@ class PieceSet {
   const std::shared_ptr<const ReplayContext> ctx_;
   const std::shared_ptr<BatchState> batch_;
   const BlockId block_;
-  const uint32_t cores_;  // Simulated cores of the list schedule.
+  // Worker tasks, which are also the simulated cores of the list schedule.
+  const uint32_t cores_;
 
   std::once_flag started_;
   std::vector<Piece> pieces_;  // In TID order.
@@ -551,6 +549,7 @@ class PieceSet {
       shared_;  // Released pieces their releaser did not keep.
   std::atomic<uint32_t> shared_size_{0};
   std::atomic<uint32_t> remaining_{0};  // Pieces not yet counted run.
+  std::atomic<uint32_t> exited_{0};     // Workers that have left Work().
   std::atomic<double> makespan_{-1.0};
 };
 
@@ -633,10 +632,10 @@ void BuildClrPReplay(const analysis::GlobalDependencyGraph& gdg,
                      const std::vector<device::StorageDevice*>& ssds,
                      storage::Catalog* catalog,
                      const proc::ProcedureRegistry* registry,
+                     const proc::ProgramSet& programs,
                      const RecoveryOptions& options, const ClrPLayout* layout,
                      sim::TaskGraph* graph, RecoveryCounters* counters,
-                     const std::vector<sim::TaskId>* batch_gates,
-                     const proc::ProgramSet* programs) {
+                     const std::vector<sim::TaskId>* batch_gates) {
   const auto num_blocks = static_cast<uint32_t>(gdg.NumBlocks());
   const CostModel& cm = options.costs;
   const bool reload_only = options.reload_only;
@@ -649,9 +648,7 @@ void BuildClrPReplay(const analysis::GlobalDependencyGraph& gdg,
   ctx->gdg = &gdg;
   ctx->table_block = BuildTableBlockMap(gdg, registry);
   ctx->catalog = catalog;
-  ctx->registry = registry;
-  ctx->programs =
-      programs != nullptr && programs->compiled() ? programs : nullptr;
+  ctx->programs = &programs;
   ctx->counters = counters;
   ctx->cm = cm;
   ctx->mode = mode;

@@ -59,22 +59,23 @@ ClrPLayout PlanClrPLayout(const analysis::GlobalDependencyGraph& gdg,
 // simulated core assignment (PlanClrPLayout); pass nullptr on real
 // threads, where every piece-set gets `options.num_threads` workers.
 // `options.mode` selects static-only / synchronous / pipelined execution.
-// `batches` must stay alive until the graph has run; records are read at
-// dispatch time only, so with `batch_gates` (AddBatchGates) each batch
-// may still be loading when the graph is built. When `programs` holds
-// compiled bytecode, pieces execute through the VM: per-transaction
-// locals are shared across the replay threads (exactly like ProcState)
-// while registers and scratch stay thread-private in each thread's arena.
+// `batches` and `programs` must stay alive until the graph has run;
+// records are read at dispatch time only, so with `batch_gates`
+// (AddBatchGates) each batch may still be loading when the graph is
+// built. Pieces execute their procedures' compiled `programs` through the
+// bytecode VM: each transaction's locals are shared across the replay
+// threads while registers and scratch stay thread-private in each
+// thread's arena.
 void BuildClrPReplay(const analysis::GlobalDependencyGraph& gdg,
                      const std::vector<GlobalBatch>& batches,
                      const std::vector<device::StorageDevice*>& ssds,
                      storage::Catalog* catalog,
                      const proc::ProcedureRegistry* registry,
+                     const proc::ProgramSet& programs,
                      const RecoveryOptions& options, const ClrPLayout* layout,
                      sim::TaskGraph* graph,
                      RecoveryCounters* counters,
-                     const std::vector<sim::TaskId>* batch_gates = nullptr,
-                     const proc::ProgramSet* programs = nullptr);
+                     const std::vector<sim::TaskId>* batch_gates = nullptr);
 
 }  // namespace pacman::recovery
 

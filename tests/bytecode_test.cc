@@ -1,16 +1,24 @@
-// Compiled-execution parity suite: the bytecode VM must be bit-identical
-// to the expression-tree interpreter — same emitted values, same final
-// table state — on forward processing and on replay under every recovery
-// scheme, plus arena reuse semantics and the unfinalized-procedure death
-// check.
+// Compiled-execution golden suite: the bytecode VM must reproduce, bit
+// for bit, the outputs recorded in tests/golden/procedure_outputs.txt —
+// every emitted value and the final table state of forward processing,
+// and the pre-crash and recovered state under every recovery scheme,
+// sharded and unsharded — plus arena reuse semantics and the
+// unfinalized-procedure death check. The file's header says where its
+// values came from.
 #include "proc/bytecode.h"
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cinttypes>
+#include <cstdio>
+#include <fstream>
+#include <map>
+#include <sstream>
+
 #include "pacman/database.h"
 #include "proc/compiler.h"
 #include "proc/exec_arena.h"
-#include "proc/interpreter.h"
 #include "workload/bank.h"
 #include "workload/tpcc.h"
 
@@ -35,102 +43,181 @@ LogScheme SchemeLogFormat(Scheme s) {
   return LogScheme::kCommand;
 }
 
-// Bit-exact value equality: type and payload, no numeric promotion (the
-// parity claim is "identical results", not "equivalent results").
-bool SameValue(const Value& a, const Value& b) {
-  if (a.type() != b.type()) return false;
-  switch (a.type()) {
+// The golden file's value token: type and payload, bit for bit (see the
+// file's header), so equal tokens mean identical values (no numeric
+// promotion).
+std::string EncodeValue(const Value& v) {
+  char buf[32];
+  switch (v.type()) {
     case ValueType::kNull:
-      return true;
+      return "n";
     case ValueType::kInt64:
-      return a.AsInt64() == b.AsInt64();
+      std::snprintf(buf, sizeof buf, "i%" PRId64, v.AsInt64());
+      return buf;
     case ValueType::kDouble:
-      return a.AsDouble() == b.AsDouble();
-    case ValueType::kString:
-      return a.AsStringView() == b.AsStringView();
+      std::snprintf(buf, sizeof buf, "d%016" PRIx64,
+                    std::bit_cast<uint64_t>(v.AsDouble()));
+      return buf;
+    case ValueType::kString: {
+      std::string s = "s";
+      for (unsigned char c : v.AsStringView()) {
+        std::snprintf(buf, sizeof buf, "%02x", c);
+        s += buf;
+      }
+      return s;
+    }
   }
-  return false;
+  return "?";
 }
 
-std::unique_ptr<Database> MakeBankDb(bool compiled,
-                                     LogScheme scheme = LogScheme::kCommand,
-                                     workload::Bank* bank = nullptr) {
+std::string HashHex(uint64_t h) {
+  char buf[24];
+  std::snprintf(buf, sizeof buf, "%016" PRIx64, h);
+  return buf;
+}
+
+// One `run` section of the golden file.
+struct GoldenRun {
+  // Per transaction, in order: procedure id, commit status (1 = ok),
+  // then one token per emitted value.
+  std::vector<std::vector<std::string>> txns;
+  // "hash", "precrash <scheme>", "recovered <scheme>" -> hex hash.
+  std::map<std::string, std::string> hashes;
+};
+
+std::map<std::string, GoldenRun> ReadGolden() {
+  std::map<std::string, GoldenRun> runs;
+  std::ifstream in(PACMAN_GOLDEN_DIR "/procedure_outputs.txt");
+  PACMAN_CHECK_MSG(in.good(), "cannot open tests/golden/procedure_outputs.txt");
+  GoldenRun* run = nullptr;
+  for (std::string line; std::getline(in, line);) {
+    if (line.empty() || line[0] == '#') continue;
+    std::istringstream fields(line);
+    std::vector<std::string> tok;
+    for (std::string t; fields >> t;) tok.push_back(t);
+    if (tok[0] == "run") {
+      run = &runs[tok.at(1)];
+    } else if (tok[0] == "txn") {
+      PACMAN_CHECK(run != nullptr && tok.size() >= 4 &&
+                   tok[1] == std::to_string(run->txns.size()));
+      run->txns.emplace_back(tok.begin() + 2, tok.end());
+    } else {
+      PACMAN_CHECK(run != nullptr && tok.size() >= 2);
+      std::string key = tok[0];
+      if (tok.size() == 3) key += " " + tok[1];
+      run->hashes[key] = tok.back();
+    }
+  }
+  return runs;
+}
+
+const GoldenRun& Golden(const std::string& name) {
+  static const std::map<std::string, GoldenRun> runs = ReadGolden();
+  auto it = runs.find(name);
+  PACMAN_CHECK_MSG(it != runs.end(), "run missing from the golden file");
+  return it->second;
+}
+
+// Transaction `i` of a run against its golden line: same procedure, same
+// commit status, every emitted value bit-identical.
+::testing::AssertionResult MatchesGolden(const GoldenRun& run, size_t i,
+                                         ProcId proc, const TxnResult& r) {
+  if (i >= run.txns.size()) {
+    return ::testing::AssertionFailure() << "txn " << i << " not recorded";
+  }
+  const std::vector<std::string>& want = run.txns[i];
+  if (want[0] != std::to_string(proc) || want[1] != (r.ok() ? "1" : "0")) {
+    return ::testing::AssertionFailure()
+           << "txn " << i << ": proc " << proc << " ok " << r.ok()
+           << ", recorded proc " << want[0] << " ok " << want[1];
+  }
+  if (want.size() - 2 != r.values.size()) {
+    return ::testing::AssertionFailure()
+           << "txn " << i << ": " << r.values.size() << " values, recorded "
+           << want.size() - 2;
+  }
+  for (size_t v = 0; v < r.values.size(); ++v) {
+    if (EncodeValue(r.values[v]) != want[2 + v]) {
+      return ::testing::AssertionFailure()
+             << "txn " << i << " value " << v << ": "
+             << EncodeValue(r.values[v]) << " ("
+             << r.values[v].ToString() << "), recorded " << want[2 + v];
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+DatabaseOptions ParityOptions(LogScheme scheme, uint32_t num_shards = 1) {
   DatabaseOptions opts;
   opts.scheme = scheme;
-  opts.compiled_procedures = compiled;
+  opts.num_shards = num_shards;
+  return opts;
+}
+
+std::unique_ptr<Database> MakeBankDb(LogScheme scheme, workload::Bank* bank,
+                                     uint32_t num_shards = 1) {
+  DatabaseOptions opts = ParityOptions(scheme, num_shards);
   opts.commits_per_epoch = 25;
   opts.epochs_per_batch = 2;
   auto db = std::make_unique<Database>(opts);
-  static workload::Bank local_bank{workload::BankConfig{
-      .num_users = 300, .num_nations = 8, .single_fraction = 0.2}};
-  workload::Bank* b = bank != nullptr ? bank : &local_bank;
-  b->CreateTables(db->catalog());
-  b->RegisterProcedures(db->registry());
-  b->Load(db->catalog());
+  bank->CreateTables(db->catalog());
+  bank->RegisterProcedures(db->registry());
+  bank->Load(db->catalog());
   db->FinalizeSchema();
   return db;
 }
 
-// Every bank procedure, both engines, transaction by transaction: emitted
-// values must match exactly and the final table state must hash equal.
+// Every bank procedure, transaction by transaction: emitted values must
+// match the golden file exactly and so must the final table state.
 TEST(BytecodeParityTest, BankForwardEmittedValuesAndState) {
+  const GoldenRun& golden = Golden("bank_forward");
   workload::Bank bank{workload::BankConfig{
       .num_users = 300, .num_nations = 8, .single_fraction = 0.2}};
-  auto interp = MakeBankDb(/*compiled=*/false, LogScheme::kCommand, &bank);
-  auto vm = MakeBankDb(/*compiled=*/true, LogScheme::kCommand, &bank);
+  auto db = MakeBankDb(LogScheme::kCommand, &bank);
 
   Rng rng(7);
   std::vector<Value> params;
   for (int i = 0; i < 400; ++i) {
     ProcId proc = bank.NextTransaction(&rng, &params);
-    TxnResult a = interp->Execute(proc, params);
-    TxnResult b = vm->Execute(proc, params);
-    ASSERT_TRUE(a.ok());
-    ASSERT_TRUE(b.ok());
-    ASSERT_EQ(a.values.size(), b.values.size()) << "txn " << i;
-    for (size_t v = 0; v < a.values.size(); ++v) {
-      EXPECT_TRUE(SameValue(a.values[v], b.values[v]))
-          << "txn " << i << " value " << v << ": "
-          << a.values[v].ToString() << " vs " << b.values[v].ToString();
-    }
+    TxnResult r = db->Execute(proc, params);
+    ASSERT_TRUE(r.ok()) << "txn " << i;
+    ASSERT_TRUE(MatchesGolden(golden, i, proc, r));
   }
-  EXPECT_EQ(interp->ContentHash(), vm->ContentHash());
+  EXPECT_EQ(golden.txns.size(), 400u);
+  EXPECT_EQ(HashHex(db->ContentHash()), golden.hashes.at("hash"));
 }
 
 // Directed branch coverage: Transfer with a married source (guard taken),
 // a single source (guard skipped -> Null results), and Deposit below and
 // above the savings-bonus threshold.
 TEST(BytecodeParityTest, BankGuardBranchesMatch) {
-  workload::Bank bank{workload::BankConfig{
-      .num_users = 10, .num_nations = 2, .single_fraction = 0.0}};
-  workload::Bank single_bank{workload::BankConfig{
-      .num_users = 10, .num_nations = 2, .single_fraction = 1.0}};
-  for (workload::Bank* b : {&bank, &single_bank}) {
-    auto interp = MakeBankDb(false, LogScheme::kCommand, b);
-    auto vm = MakeBankDb(true, LogScheme::kCommand, b);
+  for (int single : {0, 1}) {
+    SCOPED_TRACE(single);
+    const GoldenRun& golden =
+        Golden("bank_guard_single" + std::to_string(single));
+    workload::Bank b{workload::BankConfig{
+        .num_users = 10, .num_nations = 2, .single_fraction = 1.0 * single}};
+    auto db = MakeBankDb(LogScheme::kCommand, &b);
     const std::vector<std::pair<ProcId, std::vector<Value>>> cases = {
-        {b->transfer_id(), {Value(int64_t{0}), Value(5.0)}},
-        {b->deposit_id(),
-         {Value(int64_t{1}), Value(3.0), Value(int64_t{0})}},
-        {b->deposit_id(),
+        {b.transfer_id(), {Value(int64_t{0}), Value(5.0)}},
+        {b.deposit_id(), {Value(int64_t{1}), Value(3.0), Value(int64_t{0})}},
+        {b.deposit_id(),
          {Value(int64_t{1}), Value(11000.0), Value(int64_t{1})}},
     };
-    for (const auto& [proc, params] : cases) {
-      TxnResult a = interp->Execute(proc, params);
-      TxnResult r = vm->Execute(proc, params);
-      ASSERT_TRUE(a.ok());
+    for (size_t i = 0; i < cases.size(); ++i) {
+      const auto& [proc, params] = cases[i];
+      TxnResult r = db->Execute(proc, params);
       ASSERT_TRUE(r.ok());
-      ASSERT_EQ(a.values.size(), r.values.size());
-      for (size_t v = 0; v < a.values.size(); ++v) {
-        EXPECT_TRUE(SameValue(a.values[v], r.values[v]));
-      }
+      ASSERT_TRUE(MatchesGolden(golden, i, proc, r));
     }
-    EXPECT_EQ(interp->ContentHash(), vm->ContentHash());
+    EXPECT_EQ(golden.txns.size(), cases.size());
+    EXPECT_EQ(HashHex(db->ContentHash()), golden.hashes.at("hash"));
   }
 }
 
-// TPC-C: every procedure of the full mix, both engines.
+// TPC-C: every procedure of the full mix.
 TEST(BytecodeParityTest, TpccForwardEmittedValuesAndState) {
+  const GoldenRun& golden = Golden("tpcc_forward");
   workload::TpccConfig config;
   config.num_warehouses = 2;
   config.districts_per_warehouse = 4;
@@ -138,46 +225,35 @@ TEST(BytecodeParityTest, TpccForwardEmittedValuesAndState) {
   config.num_items = 100;
   config.orders_per_district = 8;
 
-  auto make = [&](bool compiled) {
-    DatabaseOptions opts;
-    opts.scheme = LogScheme::kCommand;
-    opts.compiled_procedures = compiled;
-    auto db = std::make_unique<Database>(opts);
-    auto tpcc = std::make_shared<workload::Tpcc>(config);
-    tpcc->Install(db.get());
-    db->FinalizeSchema();
-    return std::make_pair(std::move(db), tpcc);
-  };
-  auto [interp, tpcc_a] = make(false);
-  auto [vm, tpcc_b] = make(true);
+  auto db = std::make_unique<Database>(ParityOptions(LogScheme::kCommand));
+  auto tpcc = std::make_shared<workload::Tpcc>(config);
+  tpcc->Install(db.get());
+  db->FinalizeSchema();
 
   Rng rng(11);
   std::vector<Value> params;
   for (int i = 0; i < 300; ++i) {
-    ProcId proc = tpcc_a->NextTransaction(&rng, &params);
-    TxnResult a = interp->Execute(proc, params);
-    TxnResult b = vm->Execute(proc, params);
-    ASSERT_EQ(a.ok(), b.ok()) << "txn " << i;
-    ASSERT_EQ(a.values.size(), b.values.size()) << "txn " << i;
-    for (size_t v = 0; v < a.values.size(); ++v) {
-      EXPECT_TRUE(SameValue(a.values[v], b.values[v]))
-          << "txn " << i << " value " << v;
-    }
+    ProcId proc = tpcc->NextTransaction(&rng, &params);
+    TxnResult r = db->Execute(proc, params);
+    ASSERT_TRUE(MatchesGolden(golden, i, proc, r));
   }
-  EXPECT_EQ(interp->ContentHash(), vm->ContentHash());
+  EXPECT_EQ(golden.txns.size(), 300u);
+  EXPECT_EQ(HashHex(db->ContentHash()), golden.hashes.at("hash"));
 }
 
-// All five recovery schemes restore the exact pre-crash state with
-// compiled execution on; CLR/CLR-P additionally must agree with the
-// interpreter-replayed state (only they re-execute procedures).
+// All five recovery schemes restore the exact pre-crash state, and both
+// states equal the golden file's, on the unsharded and a 4-shard engine
+// (ContentHash does not depend on partitioning).
 TEST(BytecodeParityTest, ReplayParityAcrossAllSchemes) {
-  for (Scheme scheme : {Scheme::kPlr, Scheme::kLlr, Scheme::kLlrP,
-                        Scheme::kClr, Scheme::kClrP}) {
-    workload::Bank bank{workload::BankConfig{
-        .num_users = 300, .num_nations = 8, .single_fraction = 0.2}};
-    auto interp = MakeBankDb(false, SchemeLogFormat(scheme), &bank);
-    auto vm = MakeBankDb(true, SchemeLogFormat(scheme), &bank);
-    for (Database* db : {interp.get(), vm.get()}) {
+  const GoldenRun& golden = Golden("bank_replay");
+  for (uint32_t shards : {1u, 4u}) {
+    for (Scheme scheme : {Scheme::kPlr, Scheme::kLlr, Scheme::kLlrP,
+                          Scheme::kClr, Scheme::kClrP}) {
+      const std::string name = recovery::SchemeName(scheme);
+      SCOPED_TRACE(name + " shards=" + std::to_string(shards));
+      workload::Bank bank{workload::BankConfig{
+          .num_users = 300, .num_nations = 8, .single_fraction = 0.2}};
+      auto db = MakeBankDb(SchemeLogFormat(scheme), &bank, shards);
       db->TakeCheckpoint();
       Rng rng(5);
       std::vector<Value> params;
@@ -185,18 +261,16 @@ TEST(BytecodeParityTest, ReplayParityAcrossAllSchemes) {
         ProcId proc = bank.NextTransaction(&rng, &params);
         ASSERT_TRUE(db->ExecuteProcedure(proc, params).ok());
       }
-    }
-    const uint64_t pre_interp = interp->ContentHash();
-    const uint64_t pre_vm = vm->ContentHash();
-    ASSERT_EQ(pre_interp, pre_vm) << "scheme " << static_cast<int>(scheme);
+      const uint64_t pre = db->ContentHash();
+      ASSERT_EQ(HashHex(pre), golden.hashes.at("precrash " + name));
 
-    RecoveryOptions ropts;
-    ropts.num_threads = 4;
-    for (Database* db : {interp.get(), vm.get()}) {
+      RecoveryOptions ropts;
+      ropts.num_threads = 4;
       db->Crash();
       db->Recover(scheme, ropts);
-      EXPECT_EQ(db->ContentHash(), pre_interp)
-          << "scheme " << static_cast<int>(scheme);
+      EXPECT_EQ(db->ContentHash(), pre);
+      EXPECT_EQ(HashHex(db->ContentHash()),
+                golden.hashes.at("recovered " + name));
     }
   }
 }
@@ -208,7 +282,7 @@ TEST(BytecodeParityTest, ReplayParityAcrossAllSchemes) {
 TEST(ExecArenaTest, BindResetsPresenceAndKeepsCapacity) {
   workload::Bank bank{workload::BankConfig{
       .num_users = 20, .num_nations = 2, .single_fraction = 0.0}};
-  auto db = MakeBankDb(true, LogScheme::kCommand, &bank);
+  auto db = MakeBankDb(LogScheme::kCommand, &bank);
   const proc::CompiledProgram& prog =
       db->programs().Get(bank.transfer_id());
 
@@ -248,7 +322,7 @@ TEST(ExecArenaTest, BindResetsPresenceAndKeepsCapacity) {
 TEST(ReplayAccessTest, ReadViewLendsNewestVersionRow) {
   workload::Bank bank{workload::BankConfig{
       .num_users = 20, .num_nations = 2, .single_fraction = 0.0}};
-  auto db = MakeBankDb(true, LogScheme::kCommand, &bank);
+  auto db = MakeBankDb(LogScheme::kCommand, &bank);
   storage::Table* current = db->catalog()->GetTable("Current");
   const Key key = 3;
   const storage::Version* loaded = current->GetSlot(key)->newest.load();
@@ -269,7 +343,7 @@ TEST(ReplayAccessTest, ReadViewLendsNewestVersionRow) {
   EXPECT_EQ(view, &loaded->data);
   ASSERT_EQ(view->size(), before.size());
   for (size_t c = 0; c < before.size(); ++c) {
-    EXPECT_TRUE(SameValue((*view)[c], before[c]));
+    EXPECT_EQ(EncodeValue((*view)[c]), EncodeValue(before[c]));
   }
   const Row* newer = nullptr;
   ASSERT_TRUE(
@@ -296,7 +370,7 @@ TEST(ReplayAccessTest, ReadViewLendsNewestVersionRow) {
 TEST(ExecArenaTest, BindSharedUsesTxnLocals) {
   workload::Bank bank{workload::BankConfig{
       .num_users = 20, .num_nations = 2, .single_fraction = 0.0}};
-  auto db = MakeBankDb(true, LogScheme::kCommand, &bank);
+  auto db = MakeBankDb(LogScheme::kCommand, &bank);
   const proc::CompiledProgram& prog =
       db->programs().Get(bank.transfer_id());
 
@@ -338,7 +412,7 @@ TEST(ExecArenaTest, BindSharedUsesTxnLocals) {
 TEST(CompiledProgramTest, SummaryAndDisassembly) {
   workload::Bank bank{workload::BankConfig{
       .num_users = 20, .num_nations = 2, .single_fraction = 0.0}};
-  auto db = MakeBankDb(true, LogScheme::kCommand, &bank);
+  auto db = MakeBankDb(LogScheme::kCommand, &bank);
   const proc::CompiledProgram& prog =
       db->programs().Get(bank.transfer_id());
 
@@ -362,13 +436,10 @@ TEST(CompiledProgramTest, SummaryAndDisassembly) {
   EXPECT_NE(dis.find("jump_if_false"), std::string::npos);
 }
 
-// Executing a compiled-procedures database whose schema was never
-// finalized must trip the check rather than run uncompiled.
+// Executing on a database whose schema was never finalized must trip the
+// check: there is no compiled program to run.
 TEST(BytecodeDeathTest, ExecuteWithoutFinalizeDies) {
-  DatabaseOptions opts;
-  opts.scheme = LogScheme::kCommand;
-  opts.compiled_procedures = true;
-  Database db(opts);
+  Database db(ParityOptions(LogScheme::kCommand));
   workload::Bank bank{workload::BankConfig{
       .num_users = 10, .num_nations = 2, .single_fraction = 0.0}};
   bank.CreateTables(db.catalog());
@@ -377,7 +448,7 @@ TEST(BytecodeDeathTest, ExecuteWithoutFinalizeDies) {
   // No FinalizeSchema(): no compiled programs exist.
   const std::vector<Value> params = {Value(int64_t{0}), Value(5.0)};
   EXPECT_DEATH(db.ExecuteProcedure(bank.transfer_id(), params),
-               "compiled_procedures requires FinalizeSchema");
+               "Execute requires FinalizeSchema\\(\\)");
 }
 
 }  // namespace

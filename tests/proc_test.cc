@@ -1,9 +1,12 @@
-// Tests for the stored-procedure DSL: expressions, builder-derived flow
-// dependencies, the interpreter and dynamic access-set extraction.
-#include "proc/interpreter.h"
-
+// Tests for the stored-procedure DSL: expressions (evaluated through the
+// bytecode VM), builder-derived flow dependencies, VM execution and
+// dynamic access-set extraction.
 #include <gtest/gtest.h>
 
+#include "pacman/database.h"
+#include "proc/bytecode.h"
+#include "proc/compiler.h"
+#include "proc/exec_arena.h"
 #include "proc/expr.h"
 #include "proc/procedure.h"
 #include "proc/registry.h"
@@ -13,51 +16,108 @@
 namespace pacman::proc {
 namespace {
 
-TEST(ExprTest, EvalArithmeticAndComparison) {
-  std::vector<Value> params = {Value(int64_t{4}), Value(2.5)};
-  EvalContext ctx;
-  ctx.params = &params;
+// A database with one table T(v int64) holding T[1] = 9 and T[775] = 5.
+std::unique_ptr<Database> MakeTableDb() {
+  auto db = std::make_unique<Database>(DatabaseOptions{});
+  storage::Table* t = db->catalog()->CreateTable(
+      "T", Schema({{"v", ValueType::kInt64, 0}}), storage::IndexType::kHash);
+  t->LoadRow(1, {Value(int64_t{9})}, 1);
+  t->LoadRow(775, {Value(int64_t{5})}, 1);
+  return db;
+}
 
-  EXPECT_EQ(Add(P(0), C(int64_t{3}))->Eval(ctx).AsInt64(), 7);
-  EXPECT_DOUBLE_EQ(Mul(P(0), P(1))->Eval(ctx).AsDouble(), 10.0);
-  EXPECT_EQ(Gt(P(0), C(int64_t{3}))->Eval(ctx).AsInt64(), 1);
-  EXPECT_EQ(Lt(P(0), C(int64_t{3}))->Eval(ctx).AsInt64(), 0);
-  EXPECT_EQ(Mod(C(int64_t{17}), C(int64_t{5}))->Eval(ctx).AsInt64(), 2);
-  EXPECT_EQ(Mod(C(int64_t{-3}), C(int64_t{5}))->Eval(ctx).AsInt64(), 2);
+// Runs `def` once through Database::Execute on a MakeTableDb() database
+// and returns its emitted values.
+std::vector<Value> EmitValues(ProcedureDef def, std::vector<Value> args) {
+  std::unique_ptr<Database> db = MakeTableDb();
+  const ProcId id = db->registry()->Register(std::move(def));
+  db->FinalizeSchema();
+  TxnResult r = db->Execute(id, args);
+  EXPECT_TRUE(r.ok());
+  return r.values;
+}
+
+TEST(ExprTest, EvalArithmeticAndComparison) {
+  ProcedureBuilder b("Eval", 2);
+  b.Read("T", C(int64_t{1}));
+  b.Emit(Add(P(0), C(int64_t{3})));
+  b.Emit(Mul(P(0), P(1)));
+  b.Emit(Gt(P(0), C(int64_t{3})));
+  b.Emit(Lt(P(0), C(int64_t{3})));
+  b.Emit(Mod(C(int64_t{17}), C(int64_t{5})));
+  b.Emit(Mod(C(int64_t{-3}), C(int64_t{5})));
+  std::vector<Value> out =
+      EmitValues(b.Build(), {Value(int64_t{4}), Value(2.5)});
+  ASSERT_EQ(out.size(), 6u);
+  EXPECT_EQ(out[0].AsInt64(), 7);
+  EXPECT_DOUBLE_EQ(out[1].AsDouble(), 10.0);
+  EXPECT_EQ(out[2].AsInt64(), 1);
+  EXPECT_EQ(out[3].AsInt64(), 0);
+  EXPECT_EQ(out[4].AsInt64(), 2);
+  EXPECT_EQ(out[5].AsInt64(), 2);
 }
 
 TEST(ExprTest, FieldOnAbsentLocalIsNull) {
-  std::vector<Value> params;
-  std::vector<Row> locals(1);
-  std::vector<uint8_t> present = {0};
-  EvalContext ctx{&params, &locals, &present};
-  EXPECT_TRUE(F(0, 0)->Eval(ctx).is_null());
-  EXPECT_EQ(Exists(0)->Eval(ctx).AsInt64(), 0);
-  present[0] = 1;
-  locals[0] = {Value(int64_t{9})};
-  EXPECT_EQ(F(0, 0)->Eval(ctx).AsInt64(), 9);
-  EXPECT_EQ(Exists(0)->Eval(ctx).AsInt64(), 1);
+  ProcedureBuilder b("Fields", 0);
+  const int miss = b.Read("T", C(int64_t{0}));  // No row: absent.
+  const int hit = b.Read("T", C(int64_t{1}));
+  b.Emit(F(miss, 0));
+  b.Emit(Exists(miss));
+  b.Emit(F(hit, 0));
+  b.Emit(Exists(hit));
+  std::vector<Value> out = EmitValues(b.Build(), {});
+  ASSERT_EQ(out.size(), 4u);
+  EXPECT_TRUE(out[0].is_null());
+  EXPECT_EQ(out[1].AsInt64(), 0);
+  EXPECT_EQ(out[2].AsInt64(), 9);
+  EXPECT_EQ(out[3].AsInt64(), 1);
 }
 
 TEST(ExprTest, PackBuildsCompositeKeys) {
-  std::vector<Value> params = {Value(int64_t{3}), Value(int64_t{7})};
-  EvalContext ctx;
-  ctx.params = &params;
+  ProcedureBuilder b("Pack", 2);
   ExprPtr key = Expr::Pack({P(0), P(1)}, {0, 8});
-  EXPECT_EQ(key->EvalKey(ctx), (3u << 8) | 7u);
+  const int row = b.Read("T", key);  // T[(3 << 8) | 7] = T[775].
+  b.Emit(key);
+  b.Emit(F(row, 0));
+  std::vector<Value> out =
+      EmitValues(b.Build(), {Value(int64_t{3}), Value(int64_t{7})});
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out[0].AsInt64(), (3 << 8) | 7);
+  EXPECT_EQ(out[1].AsInt64(), 5);
 }
 
+// Resolvability as the dynamic analysis sees it: a parameter key always
+// resolves, a key reading an absent local does not, and an Exists() guard
+// on an absent local is an answer (false).
 TEST(ExprTest, ResolvableTracksLocals) {
-  std::vector<Value> params = {Value(int64_t{1})};
-  std::vector<Row> locals(1);
-  std::vector<uint8_t> present = {0};
-  EvalContext ctx{&params, &locals, &present};
-  EXPECT_TRUE(P(0)->Resolvable(ctx));
-  EXPECT_FALSE(F(0, 0)->Resolvable(ctx));
-  EXPECT_TRUE(Exists(0)->Resolvable(ctx));  // Absence is an answer.
-  present[0] = 1;
-  locals[0] = {Value(int64_t{2})};
-  EXPECT_TRUE(F(0, 0)->Resolvable(ctx));
+  std::unique_ptr<Database> db = MakeTableDb();
+  ProcedureBuilder b("Resolve", 1);
+  const int l0 = b.Read("T", P(0));  // op 0
+  b.Read("T", F(l0, 0));             // op 1
+  b.BeginIf(Exists(l0));
+  b.Read("T", P(0));  // op 2
+  b.EndIf();
+  const ProcId id = db->registry()->Register(b.Build());
+  db->FinalizeSchema();
+  const CompiledProgram& prog = db->programs().Get(id);
+  const TableId t = db->catalog()->GetTableId("T");
+
+  ExecArena arena;
+  const std::vector<Value> params = {Value(int64_t{1})};
+  VmState st = arena.Bind(prog, &params);
+  std::vector<std::pair<TableId, Key>> accesses;
+  ASSERT_TRUE(VmTryExtractAccessSet({0}, &st, &accesses));
+  EXPECT_EQ(accesses, (std::vector<std::pair<TableId, Key>>{{t, 1}}));
+  EXPECT_FALSE(VmTryExtractAccessSet({1}, &st, &accesses));
+  ASSERT_TRUE(VmTryExtractAccessSet({2}, &st, &accesses));
+  EXPECT_TRUE(accesses.empty());  // Absence is an answer.
+
+  ReplayAccess access(db->catalog(), InstallMode::kUnlatched);
+  ASSERT_TRUE(VmExecuteOps({0}, &st, &access).ok());  // l0 = T[1] = {9}.
+  ASSERT_TRUE(VmTryExtractAccessSet({1}, &st, &accesses));
+  EXPECT_EQ(accesses, (std::vector<std::pair<TableId, Key>>{{t, 9}}));
+  ASSERT_TRUE(VmTryExtractAccessSet({2}, &st, &accesses));
+  EXPECT_EQ(accesses, (std::vector<std::pair<TableId, Key>>{{t, 1}}));
 }
 
 TEST(ExprTest, CollectRefsFindsParamsAndLocals) {
@@ -93,29 +153,42 @@ TEST(BuilderTest, FlowDepsFromDefineUseAndControl) {
   EXPECT_EQ(def.ops[2].guard != nullptr, true);
 }
 
-class InterpreterTest : public ::testing::Test {
+// The bank procedures compiled over a bare catalog, executed directly
+// through the VM (no transaction manager).
+class VmTest : public ::testing::Test {
  protected:
-  InterpreterTest() : registry_(&catalog_) {
+  VmTest() : registry_(&catalog_) {
     bank_.CreateTables(&catalog_);
     bank_.RegisterProcedures(&registry_);
     bank_.Load(&catalog_);
+    programs_.Build(registry_, &catalog_, {}, {});
+  }
+
+  // Binds a run of `proc` whose locals live in the per-transaction
+  // `locals`, as CLR-P's pieces share them.
+  VmState BindShared(ProcId proc, const std::vector<Value>* args,
+                     VmTxnLocals* locals, ExecArena* arena) {
+    const CompiledProgram& prog = programs_.Get(proc);
+    locals->Reset(prog.num_locals);
+    return arena->BindShared(prog, args, locals);
   }
 
   storage::Catalog catalog_;
   ProcedureRegistry registry_;
+  ProgramSet programs_;
+  ExecArena arena_;
   workload::Bank bank_{workload::BankConfig{.num_users = 100,
                                             .num_nations = 4,
                                             .single_fraction = 0.0}};
 };
 
-TEST_F(InterpreterTest, TransferMovesMoney) {
+TEST_F(VmTest, TransferMovesMoney) {
   ReplayAccess access(&catalog_, InstallMode::kUnlatched);
   access.set_commit_ts(10);
-  const ProcedureDef& transfer = registry_.Get(bank_.transfer_id());
   // User 0's spouse is user 1 (single_fraction = 0).
   std::vector<Value> args = {Value(int64_t{0}), Value(100.0)};
-  ProcState state(&transfer, &args);
-  ASSERT_TRUE(ExecuteAll(&state, &access).ok());
+  VmState st = arena_.Bind(programs_.Get(bank_.transfer_id()), &args);
+  ASSERT_TRUE(VmExecuteAll(&st, &access).ok());
 
   Row src, dst, sav;
   ASSERT_TRUE(catalog_.GetTable("Current")->Read(0, 10, &src).ok());
@@ -128,82 +201,84 @@ TEST_F(InterpreterTest, TransferMovesMoney) {
   EXPECT_EQ(access.reads(), 4u);
 }
 
-TEST_F(InterpreterTest, GuardSkipsBody) {
+TEST_F(VmTest, GuardSkipsBody) {
   // Nation deposits below the threshold touch only Current.
   ReplayAccess access(&catalog_, InstallMode::kUnlatched);
   access.set_commit_ts(10);
-  const ProcedureDef& deposit = registry_.Get(bank_.deposit_id());
   std::vector<Value> args = {Value(int64_t{5}), Value(1.0), Value(int64_t{2})};
-  ProcState state(&deposit, &args);
-  ASSERT_TRUE(ExecuteAll(&state, &access).ok());
+  VmState st = arena_.Bind(programs_.Get(bank_.deposit_id()), &args);
+  ASSERT_TRUE(VmExecuteAll(&st, &access).ok());
   EXPECT_EQ(access.writes(), 1u);
   Row stats;
   ASSERT_TRUE(catalog_.GetTable("Stats")->Read(2, 10, &stats).ok());
   EXPECT_EQ(stats[0].AsInt64(), 0);
 }
 
-TEST_F(InterpreterTest, GuardTriggersBody) {
+TEST_F(VmTest, GuardTriggersBody) {
   ReplayAccess access(&catalog_, InstallMode::kUnlatched);
   access.set_commit_ts(10);
-  const ProcedureDef& deposit = registry_.Get(bank_.deposit_id());
   std::vector<Value> args = {Value(int64_t{5}), Value(20000.0), Value(int64_t{2})};
-  ProcState state(&deposit, &args);
-  ASSERT_TRUE(ExecuteAll(&state, &access).ok());
+  VmState st = arena_.Bind(programs_.Get(bank_.deposit_id()), &args);
+  ASSERT_TRUE(VmExecuteAll(&st, &access).ok());
   EXPECT_EQ(access.writes(), 3u);
   Row stats;
   ASSERT_TRUE(catalog_.GetTable("Stats")->Read(2, 10, &stats).ok());
   EXPECT_EQ(stats[0].AsInt64(), 1);
 }
 
-TEST_F(InterpreterTest, ExecuteOpsSubsetSharesState) {
-  // Execute the Transfer ops in two stages, like recovery pieces would.
+TEST_F(VmTest, ExecuteOpsSubsetSharesState) {
+  // Execute the Transfer ops in two stages, like recovery pieces would:
+  // each stage binds its own arena (its own thread's registers) to the
+  // transaction's shared locals.
   ReplayAccess access(&catalog_, InstallMode::kUnlatched);
   access.set_commit_ts(10);
-  const ProcedureDef& transfer = registry_.Get(bank_.transfer_id());
   std::vector<Value> args = {Value(int64_t{2}), Value(50.0)};
-  ProcState state(&transfer, &args);
-  ASSERT_TRUE(ExecuteOps({0}, &state, &access).ok());  // Family read.
-  EXPECT_TRUE(state.present[0]);
-  ASSERT_TRUE(ExecuteOps({1, 2, 3, 4, 5, 6}, &state, &access).ok());
+  VmTxnLocals locals;
+  VmState st = BindShared(bank_.transfer_id(), &args, &locals, &arena_);
+  ASSERT_TRUE(VmExecuteOps({0}, &st, &access).ok());  // Family read.
+  EXPECT_NE(locals.views[0], nullptr);
+  ExecArena other;
+  st = other.BindShared(programs_.Get(bank_.transfer_id()), &args, &locals);
+  ASSERT_TRUE(VmExecuteOps({1, 2, 3, 4, 5, 6}, &st, &access).ok());
   Row dst;
   ASSERT_TRUE(catalog_.GetTable("Current")->Read(3, 10, &dst).ok());
   EXPECT_DOUBLE_EQ(dst[0].AsDouble(), 1003.0 + 50.0);
 }
 
-TEST_F(InterpreterTest, AccessSetResolvableAfterUpstreamRead) {
-  const ProcedureDef& transfer = registry_.Get(bank_.transfer_id());
+TEST_F(VmTest, AccessSetResolvableAfterUpstreamRead) {
   std::vector<Value> args = {Value(int64_t{0}), Value(10.0)};
-  ProcState state(&transfer, &args);
+  VmTxnLocals locals;
+  VmState st = BindShared(bank_.transfer_id(), &args, &locals, &arena_);
 
   // Ops 1-4 (Current accesses) use dst = F(l0, 0): unresolved until the
   // Family read ran.
   std::vector<std::pair<TableId, Key>> accesses;
-  EXPECT_FALSE(TryExtractAccessSet({1, 2, 3, 4}, state, &accesses));
+  EXPECT_FALSE(VmTryExtractAccessSet({1, 2, 3, 4}, &st, &accesses));
 
   ReplayAccess access(&catalog_, InstallMode::kUnlatched);
   access.set_commit_ts(5);
-  ASSERT_TRUE(ExecuteOps({0}, &state, &access).ok());
-  ASSERT_TRUE(TryExtractAccessSet({1, 2, 3, 4}, state, &accesses));
+  ASSERT_TRUE(VmExecuteOps({0}, &st, &access).ok());
+  ASSERT_TRUE(VmTryExtractAccessSet({1, 2, 3, 4}, &st, &accesses));
   ASSERT_EQ(accesses.size(), 4u);
   const TableId current = catalog_.GetTableId("Current");
   EXPECT_EQ(accesses[0], (std::pair<TableId, Key>{current, 0}));
   EXPECT_EQ(accesses[2], (std::pair<TableId, Key>{current, 1}));
 }
 
-TEST_F(InterpreterTest, AccessSetOmitsGuardedOutOps) {
-  const ProcedureDef& deposit = registry_.Get(bank_.deposit_id());
+TEST_F(VmTest, AccessSetOmitsGuardedOutOps) {
   std::vector<Value> args = {Value(int64_t{5}), Value(1.0), Value(int64_t{0})};
-  ProcState state(&deposit, &args);
+  VmTxnLocals locals;
+  VmState st = BindShared(bank_.deposit_id(), &args, &locals, &arena_);
   ReplayAccess access(&catalog_, InstallMode::kUnlatched);
   access.set_commit_ts(5);
-  ASSERT_TRUE(ExecuteOps({0}, &state, &access).ok());  // Read Current.
+  ASSERT_TRUE(VmExecuteOps({0}, &st, &access).ok());  // Read Current.
   // Stats ops (indices 4,5) are guarded by the >10000 condition == false.
   std::vector<std::pair<TableId, Key>> accesses;
-  ASSERT_TRUE(TryExtractAccessSet({4, 5}, state, &accesses));
+  ASSERT_TRUE(VmTryExtractAccessSet({4, 5}, &st, &accesses));
   EXPECT_TRUE(accesses.empty());
 }
 
-TEST_F(InterpreterTest, RegistryResolvesTablesAndNames) {
+TEST_F(VmTest, RegistryResolvesTablesAndNames) {
   EXPECT_EQ(registry_.size(), 2u);
   EXPECT_NE(registry_.Find("Transfer"), nullptr);
   EXPECT_EQ(registry_.Find("Nope"), nullptr);
